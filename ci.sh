@@ -11,6 +11,9 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings
 
+echo "==> cargo doc --workspace --no-deps (rustdoc warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> cargo build --release"
 cargo build --release
 
@@ -57,6 +60,7 @@ done
 # jq). Runs in a scratch dir so the committed BENCH_PR*.json series is
 # untouched; the committed series itself is then checked at the repo root.
 echo "==> bench smoke: experiments bench --quick + --check"
+cargo build -q --release -p lcm-bench --bin experiments
 BENCH_BIN="$(pwd)/target/release/experiments"
 (cd "$SMOKE" && "$BENCH_BIN" bench --quick > /dev/null && "$BENCH_BIN" bench --check)
 echo "==> bench series check: committed BENCH_PR*.json"

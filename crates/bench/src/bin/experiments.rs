@@ -816,7 +816,10 @@ fn c3() {
 /// actually occurred. A second, held-out input then shows the cross-input
 /// cost of betting on that distribution.
 fn c5() {
-    use lcm_core::{optimize_speculative, validate::sample_inputs, EdgeWeights};
+    use lcm_core::{
+        optimize_speculative_checked_with, validate::sample_inputs, EdgeWeights, ValidationLevel,
+    };
+    use lcm_dataflow::{SolveStrategy, SolverScratch};
     use lcm_ir::Profile;
     use std::cmp::Ordering;
 
@@ -849,7 +852,15 @@ fn c5() {
         };
         let bcm = optimize(f, PreAlgorithm::Busy).expect("bcm");
         let lcm = optimize(f, PreAlgorithm::LazyEdge).expect("lcm");
-        let spec = optimize_speculative(f, &w).expect("spec");
+        let (spec, _) = optimize_speculative_checked_with(
+            f,
+            &w,
+            ValidationLevel::Off,
+            0,
+            SolveStrategy::default(),
+            &mut SolverScratch::new(),
+        )
+        .expect("spec");
         let s = spec.spec.expect("speculative runs record stats");
         candidates += s.candidates;
         speculated += s.speculated;
@@ -1063,7 +1074,7 @@ fn median_ns(mut v: Vec<f64>) -> f64 {
 /// [`lcm_dataflow::SolveStats::allocations`], which the solver increments
 /// on every scratch growth event and result-export clone.
 fn bench(quick: bool) {
-    use lcm_core::{anticipability_problem, availability_problem, lcm, lcm_in};
+    use lcm_core::{anticipability_problem, availability_problem, lcm_with};
     use lcm_dataflow::{CfgView, SolveStrategy, SolverScratch};
     use std::time::Instant;
 
@@ -1134,12 +1145,12 @@ fn bench(quick: bool) {
     for _ in 0..reps {
         let t0 = Instant::now();
         for f in &fns {
-            lcm_in(f, &mut scratch).unwrap();
+            lcm_with(f, SolveStrategy::default(), &mut scratch).unwrap();
         }
         reused_samples.push(t0.elapsed().as_nanos() as f64 / fns.len() as f64);
         let t0 = Instant::now();
         for f in &fns {
-            lcm(f).unwrap();
+            lcm_with(f, SolveStrategy::default(), &mut SolverScratch::new()).unwrap();
         }
         fresh_samples.push(t0.elapsed().as_nanos() as f64 / fns.len() as f64);
     }
@@ -1151,12 +1162,18 @@ fn bench(quick: bool) {
     let mut cold = SolverScratch::new();
     let per_fn: Vec<u64> = fns
         .iter()
-        .map(|f| lcm_in(f, &mut cold).unwrap().stats.total().allocations)
+        .map(|f| {
+            let p = lcm_with(f, SolveStrategy::default(), &mut cold).unwrap();
+            p.stats.total().allocations
+        })
         .collect();
     let reused_total: u64 = per_fn.iter().sum();
     let fresh_total: u64 = fns
         .iter()
-        .map(|f| lcm(f).unwrap().stats.total().allocations)
+        .map(|f| {
+            let p = lcm_with(f, SolveStrategy::default(), &mut SolverScratch::new()).unwrap();
+            p.stats.total().allocations
+        })
         .sum();
     let warm_floor = 6u64;
 

@@ -3,10 +3,10 @@
 
 use lcm_cfggen::{corpus, shapes, GenOptions};
 use lcm_core::{
-    lazy_edge_plan, lcm, morel_renvoise_plan, optimize, passes, ExprUniverse, GlobalAnalyses,
+    lazy_edge_plan, lcm_with, morel_renvoise_plan, optimize, passes, ExprUniverse, GlobalAnalyses,
     LocalPredicates, PipelineStats, PreAlgorithm,
 };
-use lcm_dataflow::SolveStats;
+use lcm_dataflow::{SolveStats, SolveStrategy, SolverScratch};
 use lcm_ir::Function;
 
 /// The deterministic workload suite used by benches and experiments.
@@ -57,7 +57,9 @@ pub fn lcm_analysis_cost(f: &Function) -> SolveStats {
 /// [`CfgView`](lcm_dataflow::CfgView), change-driven worklist solver),
 /// broken out per analysis.
 pub fn fused_analysis_cost(f: &Function) -> PipelineStats {
-    lcm(f).expect("benchmark analyses converge").stats
+    lcm_with(f, SolveStrategy::default(), &mut SolverScratch::new())
+        .expect("benchmark analyses converge")
+        .stats
 }
 
 /// Cost of the Morel–Renvoise system (availability, partial availability,

@@ -4,7 +4,8 @@
 //! A *content* edit changes what a block computes (replace an assignment's
 //! right-hand side, insert or delete an instruction, append a kill) while
 //! leaving the CFG shape — block count and successor lists — untouched, so
-//! the delta path of `lcm_core::optimize_incremental` stays applicable. A
+//! the delta path of `lcm_core::optimize_incremental_checked_with` stays
+//! applicable. A
 //! *shape* edit adds a block (edge split) or an edge (a jump rewritten as
 //! a two-way branch with coinciding targets), exercising the full-solve
 //! fallback contract. Every edit keeps the function well-formed

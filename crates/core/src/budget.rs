@@ -64,8 +64,9 @@ impl fmt::Display for Cancelled {
 
 impl std::error::Error for Cancelled {}
 
-/// A budget for one checked pipeline run. The default ([`unlimited`]
-/// (OptimizeBudget::unlimited)) never cancels; constraints compose.
+/// A budget for one checked pipeline run. The default
+/// ([`unlimited`](OptimizeBudget::unlimited)) never cancels; constraints
+/// compose.
 #[derive(Clone, Debug, Default)]
 pub struct OptimizeBudget {
     deadline: Option<Instant>,

@@ -40,6 +40,7 @@
 //!
 //! [`Problem::try_delta_solve_with`]: lcm_dataflow::Problem::try_delta_solve_with
 
+use std::borrow::Cow;
 use std::time::Instant;
 
 use lcm_dataflow::{
@@ -49,15 +50,15 @@ use lcm_ir::{BlockId, Function, Terminator};
 
 use crate::analyses::{anticipability_problem, availability_problem, GlobalAnalyses};
 use crate::lcm_edge::{derive_placement, later_problem};
-use crate::pipeline::PipelineStats;
+use crate::pipeline::{self, PipelineStats};
 use crate::predicates::LocalPredicates;
-use crate::transform::apply_plan;
 use crate::universe::ExprUniverse;
 use crate::validate::{validate_optimized, ValidationLevel, ValidationReport};
 use crate::{Optimized, PipelineError, PreAlgorithm};
 
 /// The previous revision's analyses, kept warm between edits: everything
-/// [`optimize_incremental`] needs to charge only for what changed.
+/// [`optimize_incremental_checked_with`] needs to charge only for what
+/// changed.
 #[derive(Clone, Debug)]
 pub struct IncrementalState {
     /// The function the fixpoints below were computed for.
@@ -116,12 +117,12 @@ pub struct PhaseNanos {
     pub tail_ns: u64,
 }
 
-/// Everything [`optimize_incremental`] returns: the optimized result, the
-/// validator's report, the refreshed state for the next edit, and the
-/// delta accounting.
+/// Everything [`optimize_incremental_checked_with`] returns: the optimized
+/// result, the validator's report, the refreshed state for the next edit,
+/// and the delta accounting.
 #[derive(Clone, Debug)]
 pub struct IncrementalOutcome {
-    /// The optimization result, identical to what [`crate::optimize_with`]
+    /// The optimization result, identical to what [`crate::optimize`]
     /// would produce for the same input.
     pub optimized: Optimized,
     /// The validation report (fast tier at minimum, unconditionally).
@@ -135,20 +136,10 @@ pub struct IncrementalOutcome {
 }
 
 impl IncrementalState {
-    /// Runs the full lazy-code-motion pipeline on `f` and captures every
-    /// fixpoint for later delta solves. The [`Optimized`] result is
+    /// Runs the full lazy-code-motion pipeline on `f` with an explicit
+    /// [`SolveStrategy`] and a caller-owned [`SolverScratch`], and captures
+    /// every fixpoint for later delta solves. The [`Optimized`] result is
     /// identical to [`crate::optimize`] with [`PreAlgorithm::LazyEdge`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PipelineError::Solver`] if any analysis exceeds its
-    /// derived sweep bound.
-    pub fn fresh(f: &Function) -> Result<(Optimized, IncrementalState), PipelineError> {
-        Self::fresh_with(f, SolveStrategy::default(), &mut SolverScratch::new())
-    }
-
-    /// [`fresh`](Self::fresh) with an explicit [`SolveStrategy`] and a
-    /// caller-owned [`SolverScratch`].
     ///
     /// # Errors
     ///
@@ -159,37 +150,22 @@ impl IncrementalState {
         strategy: SolveStrategy,
         scratch: &mut SolverScratch,
     ) -> Result<(Optimized, IncrementalState), PipelineError> {
-        let uni = ExprUniverse::of(f);
-        let local = LocalPredicates::compute(f, &uni);
-        let view = CfgView::new(f);
-        let avail =
-            availability_problem(f, &uni, &local).try_solve_with(strategy, &view, scratch)?;
-        let antic =
-            anticipability_problem(f, &uni, &local).try_solve_with(strategy, &view, scratch)?;
-        let ga = GlobalAnalyses::derive(f, &uni, &local, avail, antic);
-        let later = later_problem(f, &uni, &local, &ga).try_solve_with(strategy, &view, scratch)?;
-        let lazy = derive_placement(f, &uni, &local, &ga, later.clone());
-        let pipeline_stats = Some(PipelineStats {
-            avail: ga.avail.stats,
-            antic: ga.antic.stats,
-            later: lazy.stats,
-        });
-        let transform = apply_plan(f, &uni, &local, &lazy.plan);
-        let optimized = Optimized {
-            function: transform.function.clone(),
-            transform,
-            plan: lazy.plan,
-            input: f.clone(),
-            algorithm: PreAlgorithm::LazyEdge,
-            pipeline_stats,
-            spec: None,
-        };
+        let (p, later) = pipeline::solve(f, strategy, scratch, true)?;
+        let optimized = Optimized::realise(
+            Cow::Borrowed(f),
+            &p.universe,
+            &p.local,
+            p.lazy.plan,
+            PreAlgorithm::LazyEdge,
+            Some(p.stats),
+            None,
+        );
         let state = IncrementalState {
             function: f.clone(),
-            universe: uni,
-            local,
-            ga,
-            later,
+            universe: p.universe,
+            local: p.local,
+            ga: p.analyses,
+            later: later.expect("the fused solve keeps LATER when asked"),
         };
         Ok((optimized, state))
     }
@@ -200,7 +176,8 @@ impl IncrementalState {
     }
 
     /// Scrambles the stored fixpoints with seeded noise while keeping
-    /// their shape intact, so the next [`optimize_incremental`] seeds its
+    /// their shape intact, so the next
+    /// [`optimize_incremental_checked_with`] seeds its
     /// delta solves from garbage. Exists for fault-injection harnesses
     /// (`lcm-faults`): the unconditional fast validation must catch any
     /// resulting unsound plan — never silently wrong.
@@ -470,22 +447,6 @@ fn remap_matrix(
     }
 }
 
-/// [`optimize_incremental_checked`] at the fast validation tier — the
-/// daemon's hot path.
-///
-/// # Errors
-///
-/// [`PipelineError::Solver`] if an analysis diverges,
-/// [`PipelineError::Validation`] if the (possibly stale-seeded) result
-/// violates a paper invariant.
-pub fn optimize_incremental(
-    prev: &IncrementalState,
-    f: &Function,
-    seed: u64,
-) -> Result<IncrementalOutcome, PipelineError> {
-    optimize_incremental_checked(prev, f, ValidationLevel::Fast, seed)
-}
-
 /// Re-optimizes an edited revision of `prev`'s function, paying only for
 /// the blocks the edit can influence, then validates the result.
 ///
@@ -496,30 +457,8 @@ pub fn optimize_incremental(
 /// widening) and the two recognized one-block shape edits are carried by
 /// an old→new block map; anything more complex falls back to a
 /// from-scratch pipeline — still validated — and reports
-/// [`IncrementalStats::full_fallback`].
-///
-/// # Errors
-///
-/// [`PipelineError::Solver`] if an analysis diverges,
-/// [`PipelineError::Validation`] if the result violates a paper invariant.
-pub fn optimize_incremental_checked(
-    prev: &IncrementalState,
-    f: &Function,
-    level: ValidationLevel,
-    seed: u64,
-) -> Result<IncrementalOutcome, PipelineError> {
-    optimize_incremental_checked_with(
-        prev,
-        f,
-        level,
-        seed,
-        SolveStrategy::default(),
-        &mut SolverScratch::new(),
-    )
-}
-
-/// [`optimize_incremental_checked`] with an explicit [`SolveStrategy`] and
-/// caller-owned [`SolverScratch`] — the daemon's per-function path.
+/// [`IncrementalStats::full_fallback`]. `strategy` selects the solver of
+/// that fallback; the delta solves always drain SCC components.
 ///
 /// # Errors
 ///
@@ -750,21 +689,20 @@ pub fn optimize_incremental_checked_with(
     )?;
     let solve_ns = t_start.elapsed().as_nanos() as u64;
     let lazy = derive_placement(f, &uni, &local, &ga, later.clone());
-    let pipeline_stats = Some(PipelineStats {
+    let pipeline_stats = PipelineStats {
         avail: ga.avail.stats,
         antic: ga.antic.stats,
         later: lazy.stats,
-    });
-    let transform = apply_plan(f, &uni, &local, &lazy.plan);
-    let optimized = Optimized {
-        function: transform.function.clone(),
-        transform,
-        plan: lazy.plan,
-        input: f.clone(),
-        algorithm: PreAlgorithm::LazyEdge,
-        pipeline_stats,
-        spec: None,
     };
+    let optimized = Optimized::realise(
+        Cow::Borrowed(f),
+        &uni,
+        &local,
+        lazy.plan,
+        PreAlgorithm::LazyEdge,
+        Some(pipeline_stats),
+        None,
+    );
     let report = validate_optimized(f, &optimized, level, seed)?;
     let tail_ns = (t_start.elapsed().as_nanos() as u64).saturating_sub(solve_ns);
     let stats = IncrementalStats {
@@ -800,6 +738,20 @@ mod tests {
     use super::*;
     use crate::optimize;
     use lcm_ir::parse_function;
+
+    fn fresh(f: &Function) -> (Optimized, IncrementalState) {
+        IncrementalState::fresh_with(f, SolveStrategy::default(), &mut SolverScratch::new())
+            .unwrap()
+    }
+
+    fn delta_solve(
+        prev: &IncrementalState,
+        f: &Function,
+        level: ValidationLevel,
+    ) -> Result<IncrementalOutcome, PipelineError> {
+        let strategy = SolveStrategy::default();
+        optimize_incremental_checked_with(prev, f, level, 7, strategy, &mut SolverScratch::new())
+    }
 
     fn chain_text(mid: &str) -> String {
         format!(
@@ -842,8 +794,8 @@ mod tests {
         // `t1 = a` keeps the variable interning order (so only b1 is
         // index-unequal) but drops b1's occurrence of a + b.
         let f2 = parse_function(&chain_text("t1 = a")).unwrap();
-        let (_, state) = IncrementalState::fresh(&f1).unwrap();
-        let out = optimize_incremental(&state, &f2, 7).unwrap();
+        let (_, state) = fresh(&f1);
+        let out = delta_solve(&state, &f2, ValidationLevel::Fast).unwrap();
         assert!(!out.stats.full_fallback);
         assert_eq!(out.stats.dirty_blocks, 1);
         assert!(out.stats.delta_blocks_resolved > 0);
@@ -860,8 +812,8 @@ mod tests {
     #[test]
     fn identical_revision_is_free_and_identical() {
         let f = parse_function(&chain_text("t1 = a + b")).unwrap();
-        let (first, state) = IncrementalState::fresh(&f).unwrap();
-        let out = optimize_incremental(&state, &f, 7).unwrap();
+        let (first, state) = fresh(&f);
+        let out = delta_solve(&state, &f, ValidationLevel::Fast).unwrap();
         assert_eq!(out.stats.dirty_blocks, 0);
         assert_eq!(out.stats.delta_blocks_resolved, 0);
         assert!(!out.stats.full_fallback);
@@ -896,8 +848,8 @@ mod tests {
              }",
         )
         .unwrap();
-        let (_, state) = IncrementalState::fresh(&f1).unwrap();
-        let out = optimize_incremental(&state, &f2, 7).unwrap();
+        let (_, state) = fresh(&f1);
+        let out = delta_solve(&state, &f2, ValidationLevel::Fast).unwrap();
         assert!(out.stats.full_fallback);
         assert_eq!(out.stats.delta_blocks_resolved, 0);
         assert_same_result(&out, &f2);
@@ -909,8 +861,8 @@ mod tests {
         // `a * b` appends one expression to the universe: retained rows
         // widen in place instead of falling back.
         let f2 = parse_function(&chain_text("t1 = a * b")).unwrap();
-        let (_, state) = IncrementalState::fresh(&f1).unwrap();
-        let out = optimize_incremental(&state, &f2, 7).unwrap();
+        let (_, state) = fresh(&f1);
+        let out = delta_solve(&state, &f2, ValidationLevel::Fast).unwrap();
         assert!(!out.stats.full_fallback);
         assert!(out.stats.universe_grew);
         assert!(!out.stats.universe_shrunk && !out.stats.shape_mapped);
@@ -925,8 +877,8 @@ mod tests {
         // retained columns are remapped (here: a prefix) rather than
         // forcing a full solve.
         let f2 = parse_function(&chain_text("t1 = a")).unwrap();
-        let (_, state) = IncrementalState::fresh(&f1).unwrap();
-        let out = optimize_incremental(&state, &f2, 7).unwrap();
+        let (_, state) = fresh(&f1);
+        let out = delta_solve(&state, &f2, ValidationLevel::Fast).unwrap();
         assert!(!out.stats.full_fallback);
         assert!(out.stats.universe_shrunk);
         assert!(!out.stats.universe_grew);
@@ -961,8 +913,8 @@ mod tests {
              }",
         )
         .unwrap();
-        let (_, state) = IncrementalState::fresh(&f1).unwrap();
-        let out = optimize_incremental(&state, &f2, 7).unwrap();
+        let (_, state) = fresh(&f1);
+        let out = delta_solve(&state, &f2, ValidationLevel::Fast).unwrap();
         assert!(!out.stats.full_fallback);
         assert!(out.stats.shape_mapped);
         assert_same_result(&out, &f2);
@@ -971,8 +923,8 @@ mod tests {
     #[test]
     fn validation_level_off_is_promoted_to_fast() {
         let f = parse_function(&chain_text("t1 = a + b")).unwrap();
-        let (_, state) = IncrementalState::fresh(&f).unwrap();
-        let out = optimize_incremental_checked(&state, &f, ValidationLevel::Off, 7).unwrap();
+        let (_, state) = fresh(&f);
+        let out = delta_solve(&state, &f, ValidationLevel::Off).unwrap();
         assert_eq!(out.report.level, ValidationLevel::Fast);
     }
 
@@ -981,9 +933,9 @@ mod tests {
         let f1 = parse_function(&chain_text("t1 = a + b")).unwrap();
         let f2 = parse_function(&chain_text("a = 1")).unwrap();
         for seed in 0..8 {
-            let (_, mut state) = IncrementalState::fresh(&f1).unwrap();
+            let (_, mut state) = fresh(&f1);
             state.poison_solutions(0xdead_beef ^ seed);
-            match optimize_incremental(&state, &f2, 7) {
+            match delta_solve(&state, &f2, ValidationLevel::Fast) {
                 Err(PipelineError::Validation(_)) | Err(PipelineError::Solver(_)) => {}
                 Err(other) => panic!("unexpected error class: {other}"),
                 Ok(out) => {

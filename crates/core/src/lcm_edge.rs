@@ -91,22 +91,9 @@ pub fn lazy_edge_plan(
 }
 
 /// The fused-pipeline variant of [`lazy_edge_plan`]: the delay analysis
-/// runs on the change-driven worklist solver against a shared [`CfgView`].
-/// Same fixpoint, typically cheaper.
-pub fn lazy_edge_plan_in(
-    f: &Function,
-    uni: &ExprUniverse,
-    local: &LocalPredicates,
-    ga: &GlobalAnalyses,
-    view: &CfgView,
-) -> Result<LazyEdgeResult, SolverDiverged> {
-    let solution = later_problem(f, uni, local, ga).try_solve_worklist_in(view)?;
-    Ok(derive_placement(f, uni, local, ga, solution))
-}
-
-/// Like [`lazy_edge_plan_in`], but with an explicit [`SolveStrategy`] and a
-/// caller-owned [`SolverScratch`] (normally the one the availability and
-/// anticipability solves just used).
+/// runs under an explicit [`SolveStrategy`] against a shared [`CfgView`]
+/// and a caller-owned [`SolverScratch`] (normally the one the availability
+/// and anticipability solves just used). Same fixpoint, typically cheaper.
 ///
 /// # Errors
 ///

@@ -50,9 +50,24 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
-//! For a pass boundary with the paper invariants re-checked, use
-//! [`optimize_checked`], which validates the result at the requested
-//! [`validate::ValidationLevel`] before returning it.
+//! # Entry points
+//!
+//! * [`optimize`] — one algorithm, no validation, default solver: the
+//!   quickstart above.
+//! * [`optimize_checked`] — the checked pass boundary every driver uses:
+//!   any algorithm (with an optional edge profile for
+//!   [`PreAlgorithm::Speculative`]), validated at the requested
+//!   [`validate::ValidationLevel`], under an [`OptimizeBudget`], with a
+//!   caller-chosen solver strategy and reusable scratch arena.
+//!   [`optimize_speculative_checked_with`] is its speculative spelling.
+//! * [`optimize_pipeline`] — LCSE, then [`optimize`], then the
+//!   [`passes::cleanup`] tail.
+//! * [`lcm_with`] — the fused analysis pipeline alone (universe, local
+//!   predicates, availability, anticipability, LATER, placement), for
+//!   callers that want the fixpoints rather than the rewritten function.
+//! * [`IncrementalState::fresh_with`] and
+//!   [`optimize_incremental_checked_with`] — the edit-stream pair: a fresh
+//!   solve that retains its fixpoints, then delta solves against them.
 
 mod analyses;
 mod bcm;
@@ -84,21 +99,20 @@ pub use analyses::{
 pub use bcm::busy_plan;
 pub use budget::{CancelReason, Cancelled, OptimizeBudget};
 pub use incremental::{
-    optimize_incremental, optimize_incremental_checked, optimize_incremental_checked_with,
-    IncrementalOutcome, IncrementalState, IncrementalStats, PhaseNanos,
+    optimize_incremental_checked_with, IncrementalOutcome, IncrementalState, IncrementalStats,
+    PhaseNanos,
 };
-pub use lcm_edge::{
-    later_problem, lazy_edge_plan, lazy_edge_plan_in, lazy_edge_plan_with, LazyEdgeResult,
-};
+pub use lcm_edge::{later_problem, lazy_edge_plan, lazy_edge_plan_with, LazyEdgeResult};
 pub use lcm_node::{lazy_node_plan, LazyNodeResult};
 pub use morel_renvoise::{morel_renvoise_plan, MorelRenvoiseResult};
-pub use pipeline::{lcm, lcm_in, lcm_with, LcmPipeline, PipelineStats};
+pub use pipeline::{lcm_with, LcmPipeline, PipelineStats};
 pub use predicates::LocalPredicates;
 pub use speculate::{speculative_plan, weights_or_unit, EdgeWeights, SpecResult, SpecStats};
 pub use transform::{apply_plan, PlacementPlan, TransformResult};
 pub use universe::ExprUniverse;
 pub use validate::{check_memory_kills, ValidationError, ValidationLevel, ValidationReport};
 
+use std::borrow::Cow;
 use std::error::Error;
 use std::fmt;
 
@@ -185,7 +199,7 @@ pub enum PreAlgorithm {
     /// [`PreAlgorithm::ALL`] because it is not admissible in the paper's
     /// sense (it may add evaluations to cold paths) and needs a profile to
     /// be meaningful — [`optimize`] runs it with unit weights; pass real
-    /// weights via [`optimize_speculative`].
+    /// weights via [`optimize_checked`].
     Speculative,
 }
 
@@ -242,185 +256,77 @@ pub struct Optimized {
 
 /// Runs one PRE algorithm end to end: analyses → placement plan →
 /// rewriting. No clean-up passes are run; compose with
-/// [`passes::copy_propagation`] and [`passes::dce`] for a full pipeline
-/// (or use [`optimize_pipeline`]).
+/// [`passes::cleanup`] for a full pipeline (or use [`optimize_pipeline`]).
+/// [`PreAlgorithm::Speculative`] runs on unit edge weights here; pass a
+/// real profile through [`optimize_checked`].
 ///
 /// # Errors
 ///
 /// Returns [`PipelineError::Solver`] if any analysis exceeds its derived
 /// sweep bound (possible only with corrupted transfer functions).
 pub fn optimize(f: &Function, algorithm: PreAlgorithm) -> Result<Optimized, PipelineError> {
-    optimize_with(
+    run_pre(
         f,
         algorithm,
+        None,
         SolveStrategy::default(),
         &mut SolverScratch::new(),
     )
 }
 
-/// [`optimize`] with an explicit [`SolveStrategy`] and a caller-owned
-/// [`SolverScratch`]. Only [`PreAlgorithm::LazyEdge`] runs the fused
-/// pipeline that consults them; the other algorithms solve their analyses
-/// standalone and ignore both (every strategy reaches the same fixpoints,
-/// so the choice never changes a plan — see `tests/solver_equivalence.rs`).
+/// The checked pass boundary: runs `algorithm` on `f`, then
+/// [`validate::validate_optimized`] at `level`, under `budget`. The
+/// returned report carries the validator's timings for `--emit
+/// stats`-style reporting.
 ///
-/// # Errors
-///
-/// Returns [`PipelineError::Solver`] if any analysis exceeds its derived
-/// sweep bound.
-pub fn optimize_with(
-    f: &Function,
-    algorithm: PreAlgorithm,
-    strategy: SolveStrategy,
-    scratch: &mut SolverScratch,
-) -> Result<Optimized, PipelineError> {
-    match algorithm {
-        PreAlgorithm::LazyNode | PreAlgorithm::AlmostLazyNode => {
-            let res = lazy_node_plan(f, algorithm == PreAlgorithm::LazyNode)?;
-            let transform = apply_plan(&res.function, &res.universe, &res.local, &res.plan);
-            Ok(Optimized {
-                function: transform.function.clone(),
-                transform,
-                plan: res.plan,
-                input: res.function,
-                algorithm,
-                pipeline_stats: None,
-                spec: None,
-            })
-        }
-        // Without a caller-supplied profile the speculative planner runs
-        // on unit weights; see `optimize_speculative_with`.
-        PreAlgorithm::Speculative => {
-            optimize_speculative_with(f, &EdgeWeights::unit(f), strategy, scratch)
-        }
-        _ => {
-            let uni = ExprUniverse::of(f);
-            let local = LocalPredicates::compute(f, &uni);
-            let mut pipeline_stats = None;
-            let plan = match algorithm {
-                PreAlgorithm::Busy => {
-                    let ga = GlobalAnalyses::compute(f, &uni, &local)?;
-                    busy_plan(f, &uni, &local, &ga)
-                }
-                PreAlgorithm::LazyEdge => {
-                    // The fused pipeline (shared CfgView, reused scratch)
-                    // reaches the same fixpoints as the per-analysis path;
-                    // see tests/solver_equivalence.rs.
-                    let view = lcm_dataflow::CfgView::new(f);
-                    let ga =
-                        GlobalAnalyses::compute_with(f, &uni, &local, &view, strategy, scratch)?;
-                    let lazy = lazy_edge_plan_with(f, &uni, &local, &ga, &view, strategy, scratch)?;
-                    pipeline_stats = Some(PipelineStats {
-                        avail: ga.avail.stats,
-                        antic: ga.antic.stats,
-                        later: lazy.stats,
-                    });
-                    lazy.plan
-                }
-                PreAlgorithm::MorelRenvoise => morel_renvoise_plan(f, &uni, &local)?.plan,
-                // GCSE's "plan" is the empty plan: the shared transform
-                // machinery then deletes exactly the occurrences whose value
-                // is available from existing computations on all paths.
-                PreAlgorithm::Gcse => PlacementPlan::empty("gcse", f, &uni),
-                PreAlgorithm::LazyNode
-                | PreAlgorithm::AlmostLazyNode
-                | PreAlgorithm::Speculative => unreachable!(),
-            };
-            let transform = apply_plan(f, &uni, &local, &plan);
-            Ok(Optimized {
-                function: transform.function.clone(),
-                transform,
-                plan,
-                input: f.clone(),
-                algorithm,
-                pipeline_stats,
-                spec: None,
-            })
-        }
-    }
-}
-
-/// Profile-guided speculative PRE: the lazy-code-motion pipeline followed
-/// by the per-expression min-cut improvement of [`speculative_plan`] under
-/// the edge weights `w` (see [`speculate`] for the construction). The
-/// resulting plan is admissible *except* where an expression is provably
-/// side-effect-free, and under an exact profile its weighted evaluation
-/// count never exceeds lazy code motion's.
-///
-/// # Errors
-///
-/// Returns [`PipelineError::Solver`] if any analysis exceeds its derived
-/// sweep bound.
-pub fn optimize_speculative(f: &Function, w: &EdgeWeights) -> Result<Optimized, PipelineError> {
-    optimize_speculative_with(f, w, SolveStrategy::default(), &mut SolverScratch::new())
-}
-
-/// [`optimize_speculative`] with an explicit [`SolveStrategy`] and a
-/// caller-owned [`SolverScratch`] — the batch driver's per-worker path.
-///
-/// # Errors
-///
-/// Returns [`PipelineError::Solver`] if any analysis exceeds its derived
-/// sweep bound.
-pub fn optimize_speculative_with(
-    f: &Function,
-    w: &EdgeWeights,
-    strategy: SolveStrategy,
-    scratch: &mut SolverScratch,
-) -> Result<Optimized, PipelineError> {
-    let uni = ExprUniverse::of(f);
-    let local = LocalPredicates::compute(f, &uni);
-    let view = lcm_dataflow::CfgView::new(f);
-    let ga = GlobalAnalyses::compute_with(f, &uni, &local, &view, strategy, scratch)?;
-    let lazy = lazy_edge_plan_with(f, &uni, &local, &ga, &view, strategy, scratch)?;
-    let pipeline_stats = Some(PipelineStats {
-        avail: ga.avail.stats,
-        antic: ga.antic.stats,
-        later: lazy.stats,
-    });
-    let spec = speculative_plan(f, &uni, &local, &ga, &lazy, w);
-    let transform = apply_plan(f, &uni, &local, &spec.plan);
-    Ok(Optimized {
-        function: transform.function.clone(),
-        transform,
-        plan: spec.plan,
-        input: f.clone(),
-        algorithm: PreAlgorithm::Speculative,
-        pipeline_stats,
-        spec: Some(spec.stats),
-    })
-}
-
-/// [`optimize_speculative`] followed by
-/// [`validate::validate_optimized`] at `level` — the checked pass
-/// boundary for the speculative placement. The validator applies its
-/// speculation-aware admissibility rule (unsafe points must carry
-/// side-effect-free expressions) and skips the per-input eval-count
-/// non-regression, which speculation legitimately trades away on cold
-/// paths.
+/// * `weights` is the edge profile [`PreAlgorithm::Speculative`] plans
+///   against (`None` means unit weights); every other algorithm ignores
+///   it. The validator applies its speculation-aware admissibility rule to
+///   speculative plans (unsafe points must carry side-effect-free
+///   expressions) and skips the per-input eval-count non-regression, which
+///   speculation legitimately trades away on cold paths.
+/// * `strategy` and `scratch` drive the fused pipeline
+///   ([`PreAlgorithm::LazyEdge`] and [`PreAlgorithm::Speculative`]); the
+///   other algorithms solve their analyses standalone and ignore both
+///   (every strategy reaches the same fixpoints, so the choice never
+///   changes a plan — see `tests/solver_equivalence.rs`).
+/// * `budget`'s deadline and cancel flag are checked before solving, after
+///   solving, and after validation; its fuel ceiling is checked against
+///   the fused pipeline's node-visit count the moment the solves finish
+///   (the standalone-solve algorithms report no [`PipelineStats`] and are
+///   governed by the deadline alone). [`OptimizeBudget::unlimited`] never
+///   cancels.
 ///
 /// # Errors
 ///
 /// [`PipelineError::Solver`] if an analysis diverges,
-/// [`PipelineError::Validation`] if the result violates an invariant.
-pub fn optimize_speculative_checked(
+/// [`PipelineError::Validation`] if the result violates a paper invariant,
+/// [`PipelineError::Cancelled`] when the budget is exceeded.
+#[allow(clippy::too_many_arguments)]
+pub fn optimize_checked(
     f: &Function,
-    w: &EdgeWeights,
+    algorithm: PreAlgorithm,
+    weights: Option<&EdgeWeights>,
     level: ValidationLevel,
     seed: u64,
+    strategy: SolveStrategy,
+    scratch: &mut SolverScratch,
+    budget: &OptimizeBudget,
 ) -> Result<(Optimized, ValidationReport), PipelineError> {
-    optimize_speculative_checked_with(
-        f,
-        w,
-        level,
-        seed,
-        SolveStrategy::default(),
-        &mut SolverScratch::new(),
-    )
+    budget.check("solve")?;
+    let opt = run_pre(f, algorithm, weights, strategy, scratch)?;
+    let visits = opt
+        .pipeline_stats
+        .as_ref()
+        .map_or(0, |s| s.total().node_visits as u64);
+    budget.check_fuel("validate", visits)?;
+    let report = validate::validate_optimized(f, &opt, level, seed)?;
+    budget.check("finish")?;
+    Ok((opt, report))
 }
 
-/// [`optimize_speculative_checked`] with an explicit [`SolveStrategy`] and
-/// caller-owned [`SolverScratch`].
+/// [`optimize_checked`] for [`PreAlgorithm::Speculative`] under the edge
+/// weights `w`, with no budget.
 ///
 /// # Errors
 ///
@@ -434,120 +340,106 @@ pub fn optimize_speculative_checked_with(
     strategy: SolveStrategy,
     scratch: &mut SolverScratch,
 ) -> Result<(Optimized, ValidationReport), PipelineError> {
-    let opt = optimize_speculative_with(f, w, strategy, scratch)?;
-    let report = validate::validate_optimized(f, &opt, level, seed)?;
-    Ok((opt, report))
-}
-
-/// [`optimize`] followed by [`validate::validate_optimized`] at `level`:
-/// the checked pass boundary. The returned report carries the validator's
-/// timings for `--emit stats`-style reporting.
-///
-/// # Errors
-///
-/// [`PipelineError::Solver`] if an analysis diverges,
-/// [`PipelineError::Validation`] if the result violates a paper invariant.
-pub fn optimize_checked(
-    f: &Function,
-    algorithm: PreAlgorithm,
-    level: ValidationLevel,
-    seed: u64,
-) -> Result<(Optimized, ValidationReport), PipelineError> {
-    optimize_checked_with(
+    optimize_checked(
         f,
-        algorithm,
+        PreAlgorithm::Speculative,
+        Some(w),
         level,
         seed,
-        SolveStrategy::default(),
-        &mut SolverScratch::new(),
+        strategy,
+        scratch,
+        &OptimizeBudget::unlimited(),
     )
 }
 
-/// [`optimize_checked`] with an explicit [`SolveStrategy`] and caller-owned
-/// [`SolverScratch`] — the batch driver's per-worker path.
-///
-/// # Errors
-///
-/// [`PipelineError::Solver`] if an analysis diverges,
-/// [`PipelineError::Validation`] if the result violates a paper invariant.
-pub fn optimize_checked_with(
+/// Plans and rewrites: the one body behind [`optimize`] and
+/// [`optimize_checked`].
+fn run_pre(
     f: &Function,
     algorithm: PreAlgorithm,
-    level: ValidationLevel,
-    seed: u64,
+    weights: Option<&EdgeWeights>,
     strategy: SolveStrategy,
     scratch: &mut SolverScratch,
-) -> Result<(Optimized, ValidationReport), PipelineError> {
-    let opt = optimize_with(f, algorithm, strategy, scratch)?;
-    let report = validate::validate_optimized(f, &opt, level, seed)?;
-    Ok((opt, report))
+) -> Result<Optimized, PipelineError> {
+    let (input, uni, local, plan, pipeline_stats, spec) = match algorithm {
+        PreAlgorithm::LazyNode | PreAlgorithm::AlmostLazyNode => {
+            let res = lazy_node_plan(f, algorithm == PreAlgorithm::LazyNode)?;
+            let input = Cow::Owned(res.function);
+            (input, res.universe, res.local, res.plan, None, None)
+        }
+        PreAlgorithm::LazyEdge | PreAlgorithm::Speculative => {
+            let p = lcm_with(f, strategy, scratch)?;
+            let (plan, spec) = if algorithm == PreAlgorithm::Speculative {
+                let w = weights.map_or_else(|| Cow::Owned(EdgeWeights::unit(f)), Cow::Borrowed);
+                let s = speculative_plan(f, &p.universe, &p.local, &p.analyses, &p.lazy, &w);
+                (s.plan, Some(s.stats))
+            } else {
+                (p.lazy.plan, None)
+            };
+            (
+                Cow::Borrowed(f),
+                p.universe,
+                p.local,
+                plan,
+                Some(p.stats),
+                spec,
+            )
+        }
+        PreAlgorithm::Busy | PreAlgorithm::MorelRenvoise | PreAlgorithm::Gcse => {
+            let uni = ExprUniverse::of(f);
+            let local = LocalPredicates::compute(f, &uni);
+            let plan = match algorithm {
+                PreAlgorithm::Busy => {
+                    let ga = GlobalAnalyses::compute(f, &uni, &local)?;
+                    busy_plan(f, &uni, &local, &ga)
+                }
+                PreAlgorithm::MorelRenvoise => morel_renvoise_plan(f, &uni, &local)?.plan,
+                // GCSE's "plan" is the empty plan: the shared transform
+                // machinery then deletes exactly the occurrences whose
+                // value is available from existing computations on all
+                // paths.
+                _ => PlacementPlan::empty("gcse", f, &uni),
+            };
+            (Cow::Borrowed(f), uni, local, plan, None, None)
+        }
+    };
+    Ok(Optimized::realise(
+        input,
+        &uni,
+        &local,
+        plan,
+        algorithm,
+        pipeline_stats,
+        spec,
+    ))
 }
 
-/// [`optimize_checked_with`] under an [`OptimizeBudget`]: the deadline and
-/// cancel flag are checked before solving, after solving, and after
-/// validation; the fuel ceiling is checked against the fused pipeline's
-/// actual node-visit count the moment the solves finish. Fuel is only
-/// observable for the algorithms that run the fused pipeline
-/// ([`PreAlgorithm::LazyEdge`] and [`PreAlgorithm::Speculative`]); the
-/// standalone-solve algorithms report no [`PipelineStats`] and are governed
-/// by the deadline alone.
-///
-/// # Errors
-///
-/// [`PipelineError::Cancelled`] when the budget is exceeded, plus
-/// everything [`optimize_checked_with`] can return.
-pub fn optimize_checked_budgeted(
-    f: &Function,
-    algorithm: PreAlgorithm,
-    level: ValidationLevel,
-    seed: u64,
-    strategy: SolveStrategy,
-    scratch: &mut SolverScratch,
-    budget: &OptimizeBudget,
-) -> Result<(Optimized, ValidationReport), PipelineError> {
-    budget.check("solve")?;
-    let opt = optimize_with(f, algorithm, strategy, scratch)?;
-    let visits = opt
-        .pipeline_stats
-        .as_ref()
-        .map_or(0, |s| s.total().node_visits as u64);
-    budget.check_fuel("validate", visits)?;
-    let report = validate::validate_optimized(f, &opt, level, seed)?;
-    budget.check("finish")?;
-    Ok((opt, report))
-}
-
-/// [`optimize_speculative_checked_with`] under an [`OptimizeBudget`] —
-/// same stage boundaries as [`optimize_checked_budgeted`].
-///
-/// # Errors
-///
-/// [`PipelineError::Cancelled`] when the budget is exceeded, plus
-/// everything [`optimize_speculative_checked_with`] can return.
-pub fn optimize_speculative_checked_budgeted(
-    f: &Function,
-    w: &EdgeWeights,
-    level: ValidationLevel,
-    seed: u64,
-    strategy: SolveStrategy,
-    scratch: &mut SolverScratch,
-    budget: &OptimizeBudget,
-) -> Result<(Optimized, ValidationReport), PipelineError> {
-    budget.check("solve")?;
-    let opt = optimize_speculative_with(f, w, strategy, scratch)?;
-    let visits = opt
-        .pipeline_stats
-        .as_ref()
-        .map_or(0, |s| s.total().node_visits as u64);
-    budget.check_fuel("validate", visits)?;
-    let report = validate::validate_optimized(f, &opt, level, seed)?;
-    budget.check("finish")?;
-    Ok((opt, report))
+impl Optimized {
+    /// Rewrites `input` under `plan` and records how it got there.
+    pub(crate) fn realise(
+        input: Cow<'_, Function>,
+        uni: &ExprUniverse,
+        local: &LocalPredicates,
+        plan: PlacementPlan,
+        algorithm: PreAlgorithm,
+        pipeline_stats: Option<PipelineStats>,
+        spec: Option<SpecStats>,
+    ) -> Optimized {
+        let transform = apply_plan(&input, uni, local, &plan);
+        Optimized {
+            function: transform.function.clone(),
+            transform,
+            plan,
+            input: input.into_owned(),
+            algorithm,
+            pipeline_stats,
+            spec,
+        }
+    }
 }
 
 /// The full pipeline a compiler would run: LCSE, the chosen PRE algorithm,
-/// copy propagation, dead-code elimination, CFG simplification. Returns
-/// the final function.
+/// then the [`passes::cleanup`] tail. Returns the final function.
 ///
 /// # Errors
 ///
@@ -556,9 +448,7 @@ pub fn optimize_pipeline(f: &Function, algorithm: PreAlgorithm) -> Result<Functi
     let mut pre = f.clone();
     passes::lcse(&mut pre);
     let mut optimized = optimize(&pre, algorithm)?.function;
-    passes::copy_propagation(&mut optimized);
-    passes::dce(&mut optimized);
-    lcm_ir::simplify_cfg(&mut optimized);
+    passes::cleanup(&mut optimized);
     Ok(optimized)
 }
 

@@ -6,7 +6,7 @@
 //! analysis as an isolated [`Problem`](lcm_dataflow::Problem) solve leaves
 //! easy savings on the table: every solve re-derives the depth-first
 //! orderings and adjacency tables, and the round-robin strategy revisits
-//! every block each sweep whether or not anything changed. [`lcm`] fuses
+//! every block each sweep whether or not anything changed. [`lcm_with`] fuses
 //! the pipeline instead:
 //!
 //! 1. a [`CfgView`] (reverse postorder, postorder, predecessors,
@@ -31,15 +31,15 @@
 
 use std::fmt;
 
-use lcm_dataflow::{CfgView, SolveStats, SolveStrategy, SolverDiverged, SolverScratch};
+use lcm_dataflow::{CfgView, Solution, SolveStats, SolveStrategy, SolverDiverged, SolverScratch};
 use lcm_ir::Function;
 
 use crate::analyses::GlobalAnalyses;
-use crate::lcm_edge::{lazy_edge_plan_with, LazyEdgeResult};
+use crate::lcm_edge::{derive_placement, later_problem, LazyEdgeResult};
 use crate::predicates::LocalPredicates;
 use crate::universe::ExprUniverse;
 
-/// Per-analysis solver statistics for one [`lcm`] run.
+/// Per-analysis solver statistics for one [`lcm_with`] run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct PipelineStats {
     /// Availability (up-safety) solve.
@@ -95,61 +95,62 @@ pub struct LcmPipeline {
 }
 
 /// Runs the full fused LCM analysis pipeline over `f` (see the module
-/// documentation). This is the default path [`optimize`](crate::optimize)
-/// takes for [`PreAlgorithm::LazyEdge`](crate::PreAlgorithm::LazyEdge).
+/// documentation) with an explicit [`SolveStrategy`] and a caller-owned
+/// [`SolverScratch`]. All three solves (availability, anticipability,
+/// LATER) share `scratch` and one [`CfgView`]; every strategy reaches the
+/// same fixpoints. Held across functions, the scratch amortizes all
+/// per-solve state to O(1) heap allocations per function (two `Solution`
+/// export clones per solve). This is the path
+/// [`optimize`](crate::optimize) takes for
+/// [`PreAlgorithm::LazyEdge`](crate::PreAlgorithm::LazyEdge) and
+/// [`PreAlgorithm::Speculative`](crate::PreAlgorithm::Speculative).
 ///
 /// # Errors
 ///
 /// Returns [`SolverDiverged`] if any of the three analyses exceeds its
 /// derived sweep bound — impossible for well-formed transfer functions,
 /// and exactly the symptom of corrupted ones.
-pub fn lcm(f: &Function) -> Result<LcmPipeline, SolverDiverged> {
-    lcm_in(f, &mut SolverScratch::new())
-}
-
-/// [`lcm`] with a caller-owned [`SolverScratch`], the batch driver's path:
-/// held across functions, the scratch amortizes all per-solve state to O(1)
-/// heap allocations per function (two `Solution` export clones per solve).
-/// Uses the default [`SolveStrategy::SccPriority`] solver.
-///
-/// # Errors
-///
-/// Returns [`SolverDiverged`] if any of the three analyses exceeds its
-/// budget.
-pub fn lcm_in(f: &Function, scratch: &mut SolverScratch) -> Result<LcmPipeline, SolverDiverged> {
-    lcm_with(f, SolveStrategy::default(), scratch)
-}
-
-/// [`lcm_in`] with an explicit [`SolveStrategy`]. All three solves
-/// (availability, anticipability, LATER) share `scratch` and one
-/// [`CfgView`]; every strategy reaches the same fixpoints.
-///
-/// # Errors
-///
-/// Returns [`SolverDiverged`] if any of the three analyses exceeds its
-/// budget.
 pub fn lcm_with(
     f: &Function,
     strategy: SolveStrategy,
     scratch: &mut SolverScratch,
 ) -> Result<LcmPipeline, SolverDiverged> {
-    let view = CfgView::new(f);
+    solve(f, strategy, scratch, false).map(|(p, _)| p)
+}
+
+/// The fused solve itself, written once for every caller: universe →
+/// local predicates → availability and anticipability → LATER → placement.
+/// With `keep_later`, a copy of the LATER [`Solution`] is returned too —
+/// the derived placement consumes the original, and
+/// [`IncrementalState`](crate::IncrementalState) retains the copy to seed
+/// the next revision's delta solve.
+pub(crate) fn solve(
+    f: &Function,
+    strategy: SolveStrategy,
+    scratch: &mut SolverScratch,
+    keep_later: bool,
+) -> Result<(LcmPipeline, Option<Solution>), SolverDiverged> {
     let universe = ExprUniverse::of(f);
     let local = LocalPredicates::compute(f, &universe);
+    let view = CfgView::new(f);
     let analyses = GlobalAnalyses::compute_with(f, &universe, &local, &view, strategy, scratch)?;
-    let lazy = lazy_edge_plan_with(f, &universe, &local, &analyses, &view, strategy, scratch)?;
+    let later =
+        later_problem(f, &universe, &local, &analyses).try_solve_with(strategy, &view, scratch)?;
+    let kept = keep_later.then(|| later.clone());
+    let lazy = derive_placement(f, &universe, &local, &analyses, later);
     let stats = PipelineStats {
         avail: analyses.avail.stats,
         antic: analyses.antic.stats,
         later: lazy.stats,
     };
-    Ok(LcmPipeline {
+    let pipeline = LcmPipeline {
         universe,
         local,
         analyses,
         lazy,
         stats,
-    })
+    };
+    Ok((pipeline, kept))
 }
 
 #[cfg(test)]
@@ -157,6 +158,10 @@ mod tests {
     use super::*;
     use crate::lcm_edge::lazy_edge_plan;
     use lcm_ir::parse_function;
+
+    fn fused(f: &Function) -> LcmPipeline {
+        lcm_with(f, SolveStrategy::default(), &mut SolverScratch::new()).unwrap()
+    }
 
     const DIAMOND: &str = "fn d {
         entry:
@@ -175,7 +180,7 @@ mod tests {
     #[test]
     fn fused_matches_seed_path() {
         let f = parse_function(DIAMOND).unwrap();
-        let p = lcm(&f).unwrap();
+        let p = fused(&f);
         let ga = GlobalAnalyses::compute(&f, &p.universe, &p.local).unwrap();
         let lazy = lazy_edge_plan(&f, &p.universe, &p.local, &ga).unwrap();
         assert_eq!(p.analyses.avail.ins, ga.avail.ins);
@@ -189,7 +194,7 @@ mod tests {
     #[test]
     fn stats_cover_all_three_analyses() {
         let f = parse_function(DIAMOND).unwrap();
-        let p = lcm(&f).unwrap();
+        let p = fused(&f);
         // Worklist solves leave `iterations` at zero but always visit nodes.
         for s in [p.stats.avail, p.stats.antic, p.stats.later] {
             assert_eq!(s.iterations, 0);

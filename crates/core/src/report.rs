@@ -180,7 +180,7 @@ pub fn plan_report(f: &Function, uni: &ExprUniverse, plan: &PlacementPlan) -> St
     out
 }
 
-/// Renders the per-analysis solver cost of a fused [`lcm`](crate::lcm)
+/// Renders the per-analysis solver cost of a fused [`lcm_with`](crate::lcm_with)
 /// run, one row per analysis plus their total. Worklist solves report `0`
 /// iterations (the column is only meaningful for round-robin sweeps).
 pub fn stats_table(stats: &PipelineStats) -> String {
@@ -302,7 +302,8 @@ mod tests {
     #[test]
     fn stats_table_totals_sum_the_analyses() {
         let f = parse_function(DIAMOND).unwrap();
-        let p = crate::lcm(&f).unwrap();
+        let scratch = &mut lcm_dataflow::SolverScratch::new();
+        let p = crate::lcm_with(&f, Default::default(), scratch).unwrap();
         let table = stats_table(&p.stats);
         assert!(table.contains("avail"), "{table}");
         assert!(table.contains("total"), "{table}");

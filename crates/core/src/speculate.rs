@@ -149,8 +149,8 @@ impl std::ops::AddAssign for SpecStats {
     }
 }
 
-/// The speculative placement: a [`PlacementPlan`] tagged `"spec"` plus the
-/// planner's accounting.
+/// The speculative placement: a [`PlacementPlan`](crate::PlacementPlan)
+/// tagged `"spec"` plus the planner's accounting.
 #[derive(Clone, Debug)]
 pub struct SpecResult {
     /// The adopted plan. For non-speculated expressions it is bit-for-bit
@@ -294,7 +294,8 @@ pub fn weights_or_unit(f: &Function, profile: Option<&Profile>) -> EdgeWeights {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lcm;
+    use crate::lcm_with;
+    use lcm_dataflow::{SolveStrategy, SolverScratch};
     use lcm_ir::parse_function;
 
     /// A loop whose body computes `a + b` only under a guard: the
@@ -326,7 +327,7 @@ mod tests {
     const GUARDED_WEIGHTS: [u64; 8] = [1, 9, 1, 6, 3, 6, 3, 9];
 
     fn pipeline(f: &lcm_ir::Function) -> crate::LcmPipeline {
-        lcm(f).unwrap()
+        lcm_with(f, SolveStrategy::default(), &mut SolverScratch::new()).unwrap()
     }
 
     #[test]

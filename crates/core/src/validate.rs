@@ -12,7 +12,7 @@
 //! Two tiers (selected by [`ValidationLevel`]):
 //!
 //! * **Fast** — purely static, a small constant number of extra bit-vector
-//!   passes: structural [`verify`](lcm_ir::verify) of the output, plan
+//!   passes: structural [`lcm_ir::verify`] of the output, plan
 //!   safety (`INSERT ⊆ ANTIN ∪ AVOUT` at every insertion point, the
 //!   paper's admissibility criterion), definite assignment of every
 //!   introduced temporary, insertion bookkeeping (the number of `t := e`
@@ -580,7 +580,8 @@ mod tests {
 
     #[test]
     fn speculative_plans_validate_under_the_relaxed_rule() {
-        use crate::{optimize_speculative, EdgeWeights};
+        use crate::{optimize_speculative_checked_with, EdgeWeights};
+        use lcm_dataflow::{SolveStrategy, SolverScratch};
         // A guarded use inside a hot loop: speculation hoists `a + b` to
         // the entry, a classically unsafe point.
         let f = parse_function(
@@ -606,7 +607,11 @@ mod tests {
         .unwrap();
         let profile = lcm_ir::Profile::from_weights(&f, &[1, 9, 1, 6, 3, 6, 3, 9]);
         let w = EdgeWeights::from_profile(&f, &profile).unwrap();
-        let opt = optimize_speculative(&f, &w).unwrap();
+        let strategy = SolveStrategy::default();
+        let scratch = &mut SolverScratch::new();
+        let level = ValidationLevel::Off;
+        let (opt, _) =
+            optimize_speculative_checked_with(&f, &w, level, 0, strategy, scratch).unwrap();
         assert_eq!(opt.spec.unwrap().speculated, 1);
         assert!(!opt.plan.entry_insert.is_empty());
         // The classical rule rejects this plan; the speculative tier

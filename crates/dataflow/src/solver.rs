@@ -83,8 +83,8 @@ impl FromStr for SolveStrategy {
 /// problem seen and are then reused verbatim, so a long-running worker
 /// performs O(1) amortized allocations per solve. Every solve fully
 /// reinitialises the values, so no state leaks between solves (the
-/// fault-injection hook [`poison_for_fault_injection`]
-/// (Self::poison_for_fault_injection) exists precisely to prove the
+/// fault-injection hook
+/// [`poison_for_fault_injection`](Self::poison_for_fault_injection) exists precisely to prove the
 /// downstream validators would catch such a leak).
 #[derive(Debug, Default)]
 pub struct SolverScratch {
@@ -378,8 +378,8 @@ impl Problem<'_> {
     /// pretend otherwise (column shrink is handled upstream by remapping).
     ///
     /// The caller owns the completeness of `changed`: a block whose
-    /// transfer, incoming edge gen (for [`with_edge_gen`]
-    /// (Self::with_edge_gen) problems) or boundary row differs from the
+    /// transfer, incoming edge gen (for
+    /// [`with_edge_gen`](Self::with_edge_gen) problems) or boundary row differs from the
     /// problem `prev` was solved under must be listed, or stale values
     /// survive. The LCM pipeline derives this set from its block diff.
     ///

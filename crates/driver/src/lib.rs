@@ -65,12 +65,12 @@ use std::time::Instant;
 use lcm_core::transform::TransformStats;
 use lcm_core::validate::{sample_inputs, validate_optimized, ValidationLevel};
 use lcm_core::{
-    optimize_checked_budgeted, optimize_incremental_checked_with,
-    optimize_speculative_checked_budgeted, passes, EdgeWeights, IncrementalState, IncrementalStats,
-    OptimizeBudget, PhaseNanos, PipelineError, PipelineStats, PreAlgorithm, SpecStats,
+    optimize_checked, optimize_incremental_checked_with, passes, EdgeWeights, IncrementalState,
+    IncrementalStats, OptimizeBudget, PhaseNanos, PipelineError, PipelineStats, PreAlgorithm,
+    SpecStats,
 };
 use lcm_dataflow::{SolveStrategy, SolverScratch};
-use lcm_ir::{parse_function, simplify_cfg, verify, Function, Module, Profile};
+use lcm_ir::{parse_function, verify, Function, Module, Profile};
 
 /// How a batch run is configured.
 #[derive(Clone, Copy, Debug)]
@@ -315,10 +315,11 @@ struct PersistState {
     status: LoadStatus,
 }
 
-/// The retained fixpoint for one function name — what the daemon hot path
-/// ([`optimize_unit_incremental`]) delta-solves against on the next edit
-/// of the same function, tagged with the cache fingerprint of the input it
-/// was computed from so staleness is detectable.
+/// The retained fixpoint for one function name — what the incremental hot
+/// path ([`BatchEngine::run_module_incremental`] and the serve daemon)
+/// delta-solves against on the next edit of the same function, tagged
+/// with the cache fingerprint of the input it was computed from so
+/// staleness is detectable.
 #[derive(Debug)]
 pub struct PrevSolve {
     /// Fingerprint (with placement context) of the pre-LCSE input the
@@ -587,30 +588,6 @@ impl BatchEngine {
         self.prev_solves.len()
     }
 
-    /// Counts one unit answered via the delta path (not the full-solve
-    /// fallback), which re-solved `delta_blocks` block rows.
-    pub fn note_incremental_hit(&mut self, delta_blocks: u64) {
-        self.incremental_hits += 1;
-        self.delta_blocks_resolved += delta_blocks;
-    }
-
-    /// Counts one identical revision answered by the zero-dirty memo.
-    pub fn note_zero_dirty(&mut self) {
-        self.edit_classes.zero_dirty += 1;
-    }
-
-    /// Classifies one non-memo revision that had retained state into the
-    /// edit-class ledger.
-    pub fn note_edit_class(&mut self, stats: &IncrementalStats) {
-        self.edit_classes.note(stats);
-    }
-
-    /// Accumulates one incremental unit's solve/tail wall-clock split.
-    pub fn note_phases(&mut self, phases: PhaseNanos) {
-        self.phases.solve_ns += phases.solve_ns;
-        self.phases.tail_ns += phases.tail_ns;
-    }
-
     /// This process's incremental counters so far:
     /// `(incremental_hits, delta_blocks_resolved)`.
     pub fn incremental_session(&self) -> (u64, u64) {
@@ -681,18 +658,20 @@ impl BatchEngine {
     }
 
     /// Optimizes every function of `m` through the incremental hot path,
-    /// sequentially and in module order: retained fixpoints (see
-    /// [`PrevSolve`]) answer a repeat revision of a function with an
-    /// SCC-scoped delta solve, first sights solve fresh and leave their
-    /// fixpoints behind, and shape or universe changes fall back to a full
-    /// solve. Functions whose placement is not [`incremental_eligible`]
-    /// run the ordinary one-shot pipeline instead.
+    /// sequentially and in module order. Each unit runs one incremental
+    /// cycle: fingerprint, then either the zero-dirty memo replay or a
+    /// solve against the retained fixpoints ([`PrevSolve`]) — a delta, a
+    /// fresh solve on first sight, or the full fallback past the mapped
+    /// shape edits — then the ledger, the retained state and the plan
+    /// cache are updated. Functions whose placement is not
+    /// [`incremental_eligible`] run the one-shot pipeline instead.
     ///
     /// Per-unit output text is byte-identical to [`BatchEngine::run_module`]
-    /// for the same input and options (pinned by `tests/incremental.rs`
-    /// and `tests/watch.rs`). This is the `lcmopt watch` engine; the serve
-    /// daemon wires the same take → solve → put cycle into its connection
-    /// handler.
+    /// for the same input and options, at every placement and validation
+    /// tier (pinned by `tests/watch.rs`). This is the `lcmopt watch`
+    /// engine; the serve daemon runs the same cycle through the same engine
+    /// helpers, unlocking the engine while it solves, and keeps the same
+    /// ledger (pinned by `tests/serve_determinism.rs`).
     pub fn run_module_incremental(&mut self, m: &Module) -> Vec<IncrementalUnit> {
         let mut scratch = SolverScratch::new();
         m.iter()
@@ -706,26 +685,12 @@ impl BatchEngine {
         profile: Option<&Profile>,
         scratch: &mut SolverScratch,
     ) -> IncrementalUnit {
-        let blocks = f.num_blocks();
-        let unit = |outcome, mode, stats, phases| IncrementalUnit {
-            name: f.name.clone(),
-            outcome,
-            mode,
-            stats,
-            blocks,
-            phases,
-        };
         if let Err(e) = verify(f) {
             let err = UnitError {
                 kind: FailureKind::InvalidInput,
                 message: e.to_string(),
             };
-            return unit(
-                Err(err),
-                IncrementalMode::OneShot,
-                IncrementalStats::default(),
-                PhaseNanos::default(),
-            );
+            return unaccounted_unit(f, Err(err), IncrementalMode::OneShot);
         }
         let weights = if self.opts.placement == PreAlgorithm::Speculative {
             profile.and_then(|p| EdgeWeights::from_profile(f, p).ok())
@@ -734,90 +699,95 @@ impl BatchEngine {
         };
         let context = unit_context(self.opts.placement, weights.as_ref());
         if !incremental_eligible(self.opts.placement, weights.as_ref()) {
+            let budget = OptimizeBudget::unlimited();
+            let step = PreStep::OneShot(&budget);
             let computed = isolate(AssertUnwindSafe(|| {
-                optimize_unit(
-                    f,
-                    &self.opts,
-                    weights.as_ref(),
-                    &context,
-                    scratch,
-                    &OptimizeBudget::unlimited(),
-                )
+                optimize_unit(f, &self.opts, weights.as_ref(), &context, step, scratch)
             }));
-            return unit(
-                computed.map(|e| cache::with_name(&e.output_text, &f.name)),
-                IncrementalMode::OneShot,
-                IncrementalStats::default(),
-                PhaseNanos::default(),
-            );
+            let outcome = computed.map(|run| cache::with_name(&run.entry.output_text, &f.name));
+            return unaccounted_unit(f, outcome, IncrementalMode::OneShot);
         }
         let key = fingerprint_with_context(f, &context).0;
-        let tag = options_tag(&self.opts);
-        let prev = self.take_prev_solve(&f.name);
-        // The zero-dirty memo: an identical revision under identical
-        // options replays the retained output with no solve, rewrite,
-        // validation, or printing at all. A *dirty* function can never
-        // match — the fingerprint covers the whole canonical body — and an
-        // option change invalidates via the tag.
-        if let Some(p) = &prev {
-            if p.key == key && p.opts_tag == tag {
-                let output = cache::with_name(&p.output_text, &f.name);
-                self.edit_classes.zero_dirty += 1;
-                self.put_prev_solve(&f.name, prev.expect("checked above"));
-                return unit(
-                    Ok(output),
-                    IncrementalMode::ZeroDirty,
-                    IncrementalStats::default(),
-                    PhaseNanos::default(),
-                );
-            }
+        if let Some(replayed) = self.replay_memo(f, key) {
+            return replayed;
         }
-        let had_prev = prev.is_some();
+        let prev = self.take_prev_solve(&f.name);
+        let step = PreStep::Incremental(prev.as_ref().map(|p| &p.state));
         let computed = isolate(AssertUnwindSafe(|| {
-            optimize_unit_incremental(
-                f,
-                &self.opts,
-                &context,
-                prev.as_ref().map(|p| &p.state),
-                scratch,
-            )
+            optimize_unit(f, &self.opts, None, &context, step, scratch)
         }));
-        match computed {
-            Ok((entry, state, stats, phases)) => {
-                let mode = match (had_prev, stats.full_fallback) {
-                    (false, _) => IncrementalMode::Fresh,
-                    (true, true) => IncrementalMode::Fallback,
-                    (true, false) => IncrementalMode::Delta,
-                };
-                if mode == IncrementalMode::Delta {
-                    self.note_incremental_hit(stats.delta_blocks_resolved as u64);
-                }
-                if had_prev {
-                    self.edit_classes.note(&stats);
-                }
-                self.phases.solve_ns += phases.solve_ns;
-                self.phases.tail_ns += phases.tail_ns;
-                let output = cache::with_name(&entry.output_text, &f.name);
-                self.put_prev_solve(
-                    &f.name,
-                    PrevSolve {
-                        key,
-                        state,
-                        output_text: entry.output_text.clone(),
-                        opts_tag: tag,
-                    },
-                );
-                if self.opts.use_cache {
-                    self.cache.insert(key, entry);
-                }
-                unit(Ok(output), mode, stats, phases)
-            }
-            Err(e) => unit(
-                Err(e),
-                IncrementalMode::Fresh,
-                IncrementalStats::default(),
-                PhaseNanos::default(),
-            ),
+        self.finish_incremental(f, key, prev.is_some(), computed)
+    }
+
+    /// The zero-dirty memo, the first step of the incremental cycle: when
+    /// the state retained for `f`'s name answered exactly this revision
+    /// (fingerprint `key`) under the current options, its output is
+    /// replayed with no solve, rewrite, validation, or printing at all, and
+    /// the replay is counted in the edit ledger. A *dirty* function can
+    /// never match — the fingerprint covers the whole canonical body — and
+    /// an option change invalidates via [`options_tag`].
+    fn replay_memo(&mut self, f: &Function, key: u128) -> Option<IncrementalUnit> {
+        let p = self.prev_solves.get(&f.name)?;
+        if p.key != key || p.opts_tag != options_tag(&self.opts) {
+            return None;
+        }
+        let output = cache::with_name(&p.output_text, &f.name);
+        self.edit_classes.zero_dirty += 1;
+        Some(unaccounted_unit(f, Ok(output), IncrementalMode::ZeroDirty))
+    }
+
+    /// The last step of the incremental cycle, after the solve (which a
+    /// daemon runs with the engine unlocked): classifies the unit, counts
+    /// it in the delta and edit-class ledgers and the phase totals,
+    /// retains its fixpoints and output memo under `key` for the next
+    /// revision, and fills the plan cache. `had_prev` says whether the
+    /// solve ran against retained state.
+    fn finish_incremental(
+        &mut self,
+        f: &Function,
+        key: u128,
+        had_prev: bool,
+        computed: Result<UnitRun, UnitError>,
+    ) -> IncrementalUnit {
+        let run = match computed {
+            Ok(run) => run,
+            Err(e) => return unaccounted_unit(f, Err(e), IncrementalMode::Fresh),
+        };
+        let (state, stats) = run
+            .retained
+            .expect("the incremental step retains its fixpoints");
+        let mode = match (had_prev, stats.full_fallback) {
+            (false, _) => IncrementalMode::Fresh,
+            (true, true) => IncrementalMode::Fallback,
+            (true, false) => IncrementalMode::Delta,
+        };
+        if mode == IncrementalMode::Delta {
+            self.incremental_hits += 1;
+            self.delta_blocks_resolved += stats.delta_blocks_resolved as u64;
+        }
+        if had_prev {
+            self.edit_classes.note(&stats);
+        }
+        self.phases.solve_ns += run.phases.solve_ns;
+        self.phases.tail_ns += run.phases.tail_ns;
+        let output = cache::with_name(&run.entry.output_text, &f.name);
+        let prev = PrevSolve {
+            key,
+            state,
+            output_text: run.entry.output_text.clone(),
+            opts_tag: options_tag(&self.opts),
+        };
+        self.put_prev_solve(&f.name, prev);
+        if self.opts.use_cache {
+            self.cache.insert(key, run.entry);
+        }
+        IncrementalUnit {
+            name: f.name.clone(),
+            outcome: Ok(output),
+            mode,
+            stats,
+            blocks: f.num_blocks(),
+            phases: run.phases,
         }
     }
 
@@ -917,15 +887,16 @@ impl BatchEngine {
                 Job::Compute(i) => JobOut::Computed(
                     i,
                     isolate(AssertUnwindSafe(|| {
+                        let budget = OptimizeBudget::unlimited();
                         optimize_unit(
                             &units[i].function,
                             &opts,
                             weights[i].as_ref(),
                             &contexts[i],
+                            PreStep::OneShot(&budget),
                             scratch,
-                            &OptimizeBudget::unlimited(),
                         )
-                        .map(Box::new)
+                        .map(|run| Box::new(run.entry))
                     })),
                 ),
                 Job::Revalidate(key) => {
@@ -1118,75 +1089,21 @@ fn unit_context(placement: PreAlgorithm, weights: Option<&EdgeWeights>) -> Strin
     }
 }
 
-/// The per-function pipeline, mirroring `lcmopt`'s default pass order:
-/// LCSE → checked PRE (the configured placement) → copy propagation → DCE
-/// → CFG simplification → output verification.
-///
-/// `weights` and `context` must be the ones `run` resolved for this unit:
-/// the recorded `canonical_input` embeds the context so the cache's
-/// collision guard keeps differently-weighted plans apart. LCSE never
-/// touches the CFG, so edge weights resolved against the pre-LCSE
-/// function remain valid for `g`.
-fn optimize_unit(
+/// A unit with no delta accounting and no phase split: a one-shot run, a
+/// memo replay, or a failure.
+fn unaccounted_unit(
     f: &Function,
-    opts: &BatchOptions,
-    weights: Option<&EdgeWeights>,
-    context: &str,
-    scratch: &mut SolverScratch,
-    budget: &OptimizeBudget,
-) -> Result<CacheEntry, UnitError> {
-    let (level, seed, strategy) = (opts.validate, opts.seed, opts.strategy);
-    let mut g = f.clone();
-    g.name = CANONICAL_NAME.to_string();
-    let canonical_input = cache::contextual_text(&g.to_string(), context);
-    passes::lcse(&mut g);
-    let (opt, report) = match (opts.placement, weights) {
-        (PreAlgorithm::Speculative, Some(w)) => {
-            optimize_speculative_checked_budgeted(&g, w, level, seed, strategy, scratch, budget)
-        }
-        (PreAlgorithm::Speculative, None) => optimize_checked_budgeted(
-            &g,
-            PreAlgorithm::LazyEdge,
-            level,
-            seed,
-            strategy,
-            scratch,
-            budget,
-        ),
-        (alg, _) => optimize_checked_budgeted(&g, alg, level, seed, strategy, scratch, budget),
+    outcome: Result<String, UnitError>,
+    mode: IncrementalMode,
+) -> IncrementalUnit {
+    IncrementalUnit {
+        name: f.name.clone(),
+        outcome,
+        mode,
+        stats: IncrementalStats::default(),
+        blocks: f.num_blocks(),
+        phases: PhaseNanos::default(),
     }
-    .map_err(|e| UnitError {
-        kind: match e {
-            PipelineError::Cancelled(_) => FailureKind::Cancelled,
-            _ => FailureKind::Pipeline,
-        },
-        message: e.to_string(),
-    })?;
-    let mut out = opt.function.clone();
-    passes::copy_propagation(&mut out);
-    passes::dce(&mut out);
-    simplify_cfg(&mut out);
-    verify(&out).map_err(|e| UnitError {
-        kind: FailureKind::InvalidOutput,
-        message: e.to_string(),
-    })?;
-    // Allocation counts measure scratch temperature — which worker's arena
-    // the function happened to land on — not the function itself, so they
-    // are scrubbed from the recorded stats to keep batch reports identical
-    // for every thread count. `experiments bench` measures them directly.
-    let mut pipeline = opt.pipeline_stats.unwrap_or_default();
-    pipeline.avail.allocations = 0;
-    pipeline.antic.allocations = 0;
-    pipeline.later.allocations = 0;
-    Ok(CacheEntry {
-        canonical_input,
-        pipeline,
-        transform: opt.transform.stats,
-        output_text: out.to_string(),
-        origin: Some(Box::new(ComputedOrigin { pre_input: g, opt })),
-        validation_checks: report.checks_run,
-        inputs_sampled: report.inputs_sampled,
-    })
 }
 
 /// Whether a unit may take the incremental hot path: the effective
@@ -1201,78 +1118,125 @@ pub fn incremental_eligible(placement: PreAlgorithm, weights: Option<&EdgeWeight
     )
 }
 
-/// The incremental twin of [`optimize_unit`]: the same pass order (LCSE →
-/// PRE → copy propagation → DCE → CFG simplification → output
-/// verification) and bit-identical output, but the PRE step delta-solves
-/// against `prev`'s retained fixpoints when one is supplied, re-solving
-/// only the SCC components the edit can reach (with an automatic full
-/// solve when the CFG shape or expression universe changed). Callers must
-/// check [`incremental_eligible`] first. Every result — delta, fallback,
-/// or first sight — passes at least the fast validation tier, so a stale
-/// or corrupted `prev` costs a typed unit failure, never wrong code.
+/// The PRE step of [`optimize_unit`] — the one place the unit pipeline
+/// branches.
+enum PreStep<'a> {
+    /// The checked, budgeted one-shot solve of the configured placement;
+    /// nothing is retained.
+    OneShot(&'a OptimizeBudget),
+    /// The incremental solve (callers check [`incremental_eligible`]
+    /// first): a delta against the retained fixpoints when there are any,
+    /// a fresh solve otherwise — and either way the new fixpoints are
+    /// retained. Validated at the fast tier at least, so a stale or
+    /// corrupted state costs a typed unit failure, never wrong code.
+    Incremental(Option<&'a IncrementalState>),
+}
+
+/// What [`optimize_unit`] produced.
+struct UnitRun {
+    /// The cache entry (canonical texts, statistics, plan for re-validation).
+    entry: CacheEntry,
+    /// The fixpoints to retain and what the delta path did
+    /// ([`PreStep::Incremental`] only; the stats are all-default when
+    /// there was no retained state to be incremental against).
+    retained: Option<(IncrementalState, IncrementalStats)>,
+    /// Wall-clock split into the solve phase (cloning, LCSE, fixpoints)
+    /// and the tail (plan, rewrite, validation, cleanup, print).
+    phases: PhaseNanos,
+}
+
+/// The per-function pipeline, mirroring `lcmopt`'s default pass order:
+/// LCSE → checked PRE (the configured placement) → [`passes::cleanup`] →
+/// output verification. Only the PRE step varies, by `step`.
 ///
-/// Returns the cache entry, the new [`IncrementalState`] to retain for the
-/// function's next revision, what the delta path did, and the wall-clock
-/// solve/tail phase split. [`IncrementalStats`] is all-default when `prev`
-/// was `None` (there was nothing to be incremental against).
-pub fn optimize_unit_incremental(
+/// `weights` and `context` must be the ones resolved for this unit: the
+/// recorded `canonical_input` embeds the context so the cache's collision
+/// guard keeps differently-weighted plans apart. LCSE never touches the
+/// CFG, so edge weights resolved against the pre-LCSE function remain
+/// valid for `g`.
+fn optimize_unit(
     f: &Function,
     opts: &BatchOptions,
+    weights: Option<&EdgeWeights>,
     context: &str,
-    prev: Option<&IncrementalState>,
+    step: PreStep<'_>,
     scratch: &mut SolverScratch,
-) -> Result<(CacheEntry, IncrementalState, IncrementalStats, PhaseNanos), UnitError> {
+) -> Result<UnitRun, UnitError> {
     let (level, seed, strategy) = (opts.validate, opts.seed, opts.strategy);
     let t_start = Instant::now();
+    let elapsed = || t_start.elapsed().as_nanos() as u64;
     let mut g = f.clone();
     g.name = CANONICAL_NAME.to_string();
     let canonical_input = cache::contextual_text(&g.to_string(), context);
     passes::lcse(&mut g);
     let pipeline_err = |e: PipelineError| UnitError {
-        kind: FailureKind::Pipeline,
+        kind: match e {
+            PipelineError::Cancelled(_) => FailureKind::Cancelled,
+            _ => FailureKind::Pipeline,
+        },
         message: e.to_string(),
     };
-    let (opt, report, state, stats, mut phases) = match prev {
-        Some(prev) => {
+    let (opt, report, retained, mut phases) = match step {
+        PreStep::OneShot(budget) => {
+            // Profile-less speculative units run plain LCM (see
+            // `BatchOptions::placement`).
+            let alg = match (opts.placement, weights) {
+                (PreAlgorithm::Speculative, None) => PreAlgorithm::LazyEdge,
+                (alg, _) => alg,
+            };
+            let (opt, report) =
+                optimize_checked(&g, alg, weights, level, seed, strategy, scratch, budget)
+                    .map_err(pipeline_err)?;
+            let phases = PhaseNanos {
+                solve_ns: elapsed(),
+                tail_ns: 0,
+            };
+            (opt, report, None, phases)
+        }
+        PreStep::Incremental(Some(prev)) => {
             let out = optimize_incremental_checked_with(prev, &g, level, seed, strategy, scratch)
                 .map_err(pipeline_err)?;
             let mut phases = out.phases;
             // Charge cloning + LCSE to the solve phase so the two phases
             // still sum to this function's whole wall-clock.
-            phases.solve_ns = (t_start.elapsed().as_nanos() as u64).saturating_sub(phases.tail_ns);
-            (out.optimized, out.report, out.state, out.stats, phases)
+            phases.solve_ns = elapsed().saturating_sub(phases.tail_ns);
+            (
+                out.optimized,
+                out.report,
+                Some((out.state, out.stats)),
+                phases,
+            )
         }
-        None => {
+        PreStep::Incremental(None) => {
             let (opt, state) =
                 IncrementalState::fresh_with(&g, strategy, scratch).map_err(pipeline_err)?;
-            let solve_ns = t_start.elapsed().as_nanos() as u64;
+            let solve_ns = elapsed();
             let effective = if level == ValidationLevel::Off {
                 ValidationLevel::Fast
             } else {
                 level
             };
-            let report = validate_optimized(&g, &opt, effective, seed).map_err(|e| UnitError {
-                kind: FailureKind::Pipeline,
-                message: e.to_string(),
-            })?;
+            let report = validate_optimized(&g, &opt, effective, seed)
+                .map_err(|e| pipeline_err(e.into()))?;
             let phases = PhaseNanos {
                 solve_ns,
-                tail_ns: (t_start.elapsed().as_nanos() as u64).saturating_sub(solve_ns),
+                tail_ns: elapsed().saturating_sub(solve_ns),
             };
-            (opt, report, state, IncrementalStats::default(), phases)
+            let retained = Some((state, IncrementalStats::default()));
+            (opt, report, retained, phases)
         }
     };
     let t_tail = Instant::now();
     let mut out = opt.function.clone();
-    passes::copy_propagation(&mut out);
-    passes::dce(&mut out);
-    simplify_cfg(&mut out);
+    passes::cleanup(&mut out);
     verify(&out).map_err(|e| UnitError {
         kind: FailureKind::InvalidOutput,
         message: e.to_string(),
     })?;
-    // Allocations are scrubbed for the same reason as in [`optimize_unit`]:
-    // they measure arena temperature, not the function.
+    // Allocation counts measure scratch temperature — which worker's arena
+    // the function happened to land on — not the function itself, so they
+    // are scrubbed from the recorded stats to keep batch reports identical
+    // for every thread count. `experiments bench` measures them directly.
     let mut pipeline = opt.pipeline_stats.unwrap_or_default();
     pipeline.avail.allocations = 0;
     pipeline.antic.allocations = 0;
@@ -1280,20 +1244,20 @@ pub fn optimize_unit_incremental(
     let output_text = out.to_string();
     // The driver's cleanup passes and printing are tail work too.
     phases.tail_ns += t_tail.elapsed().as_nanos() as u64;
-    Ok((
-        CacheEntry {
-            canonical_input,
-            pipeline,
-            transform: opt.transform.stats,
-            output_text,
-            origin: Some(Box::new(ComputedOrigin { pre_input: g, opt })),
-            validation_checks: report.checks_run,
-            inputs_sampled: report.inputs_sampled,
-        },
-        state,
-        stats,
+    let entry = CacheEntry {
+        canonical_input,
+        pipeline,
+        transform: opt.transform.stats,
+        output_text,
+        origin: Some(Box::new(ComputedOrigin { pre_input: g, opt })),
+        validation_checks: report.checks_run,
+        inputs_sampled: report.inputs_sampled,
+    };
+    Ok(UnitRun {
+        entry,
+        retained,
         phases,
-    ))
+    })
 }
 
 /// Differential inputs a thin-entry re-validation samples.

@@ -1,4 +1,4 @@
-//! Deterministic renderings of a [`BatchResult`](crate::BatchResult).
+//! Deterministic renderings of a [`crate::BatchResult`].
 //!
 //! Everything emitted here is a pure function of the batch result, which
 //! is itself independent of the thread count — so `lcmopt batch` output

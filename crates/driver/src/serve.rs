@@ -5,7 +5,8 @@
 //! serving: the 2-allocation same-shape solve floor only pays off if the
 //! process outlives a CLI invocation), a shared [`BatchEngine`]'s plan
 //! cache — optionally backed by an `lcm-cache-v1` file (see
-//! [`crate::persist`]) — and a bounded admission queue.
+//! [`crate::save_cache`] and [`crate::load_or_quarantine`]) — and a
+//! bounded admission queue.
 //!
 //! The robustness contract, each clause pinned by tests:
 //!
@@ -52,9 +53,9 @@ use crate::protocol::{
     ERR_DRAINING, ERR_PARSE, ERR_TOO_LARGE,
 };
 use crate::{
-    cache, fingerprint_with_context, incremental_eligible, isolate, optimize_unit,
-    optimize_unit_incremental, options_tag, resolve_jobs, unit_context, BatchEngine, BatchOptions,
-    CacheEntry, FailureKind, LoadStatus, PrevSolve, UnitError,
+    cache, fingerprint_with_context, incremental_eligible, isolate, optimize_unit, resolve_jobs,
+    unit_context, BatchEngine, BatchOptions, CacheEntry, FailureKind, IncrementalUnit, LoadStatus,
+    PreStep, UnitError,
 };
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -409,50 +410,32 @@ fn process_job(core: &Arc<Core>, scratch: &mut SolverScratch, job: UnitJob) -> R
     let incremental = incremental_eligible(opts.placement, job.weights.as_ref())
         && job.deadline.is_none()
         && job.fuel == 0;
+    let (key, text) = fingerprint_with_context(&job.function, &job.context);
 
-    // The zero-dirty memo: an identical revision of a function we hold
-    // retained state for replays the memoized output verbatim — checked
-    // *before* the plan cache because the memo was validated when it was
-    // produced in this very process, so a hit skips even re-validation.
-    // Any edit changes the fingerprint and any option change breaks the
-    // tag, so a dirty function can never match.
-    let mut fp: Option<(u128, String)> = None;
-    if incremental {
-        let (key, text) = fingerprint_with_context(&job.function, &job.context);
-        let tag = options_tag(&opts);
+    // The zero-dirty memo is checked *before* the plan cache: the memo was
+    // validated when it was produced in this very process, so a hit skips
+    // even re-validation.
+    let cached: Option<CacheEntry> = {
         let mut engine = core.engine.lock().expect("engine lock");
-        if let Some(p) = engine.take_prev_solve(&job.name) {
-            if p.key == key && p.opts_tag == tag {
-                let output = cache::with_name(&p.output_text, &job.name);
-                engine.note_zero_dirty();
-                engine.put_prev_solve(&job.name, p);
-                return Response::UnitOk {
-                    index: job.index,
-                    output,
-                };
+        if incremental {
+            if let Some(unit) = engine.replay_memo(&job.function, key) {
+                return unit_response(job.index, unit);
             }
-            engine.put_prev_solve(&job.name, p);
         }
-        fp = Some((key, text));
-    }
-
-    let cached: Option<(u128, String, Option<CacheEntry>)> = if opts.use_cache {
-        let (key, text) = fp
-            .take()
-            .unwrap_or_else(|| fingerprint_with_context(&job.function, &job.context));
-        let mut engine = core.engine.lock().expect("engine lock");
-        let entry = engine.cache().get(key, &text).cloned();
-        if entry.is_some() {
-            engine.cache_mut().note_hit();
+        if opts.use_cache {
+            let entry = engine.cache().get(key, &text).cloned();
+            if entry.is_some() {
+                engine.cache_mut().note_hit();
+            } else {
+                engine.cache_mut().note_miss();
+            }
+            entry
         } else {
-            engine.cache_mut().note_miss();
+            None
         }
-        Some((key, text, entry))
-    } else {
-        None
     };
 
-    if let Some((key, _, Some(entry))) = &cached {
+    if let Some(entry) = &cached {
         let is_thin = entry.origin.is_none();
         match isolate(AssertUnwindSafe(|| {
             crate::revalidate_entry(entry, opts.seed)
@@ -463,16 +446,14 @@ fn process_job(core: &Arc<Core>, scratch: &mut SolverScratch, job: UnitJob) -> R
                     output: cache::with_name(&entry.output_text, &job.name),
                 };
             }
-            Err(e) if is_thin => {
+            Err(_) if is_thin => {
                 // A persisted entry that fails re-validation is quarantined
                 // (evicted + counted) and the unit recomputed from scratch:
                 // disk corruption must cost warmth, not correctness — and
                 // not availability either.
                 let mut engine = core.engine.lock().expect("engine lock");
-                engine.cache_mut().remove(*key);
+                engine.cache_mut().remove(key);
                 engine.note_entry_quarantine();
-                drop(engine);
-                let _ = e;
             }
             Err(e) => {
                 // An entry poisoned *in this process* is a real fault; the
@@ -484,59 +465,23 @@ fn process_job(core: &Arc<Core>, scratch: &mut SolverScratch, job: UnitJob) -> R
 
     // The incremental hot path: for un-budgeted plain-LCM units, reuse the
     // fixpoints retained from this function's previous revision and charge
-    // only for the blocks the edit can reach. Budgeted units keep the
-    // budget-enforcing pipeline; output text is bit-identical either way
-    // (pinned by `tests/incremental.rs` and the serve smoke in ci.sh).
+    // only for the blocks the edit can reach, solving with the engine
+    // unlocked. Budgeted units keep the budget-enforcing pipeline; output
+    // text is bit-identical either way (pinned by `tests/incremental.rs`
+    // and the serve smoke in ci.sh).
     if incremental {
-        let key = match (&cached, &fp) {
-            (Some((key, _, _)), _) => *key,
-            (None, Some((key, _))) => *key,
-            (None, None) => fingerprint_with_context(&job.function, &job.context).0,
-        };
-        let prev = {
-            let mut engine = core.engine.lock().expect("engine lock");
-            engine.take_prev_solve(&job.name)
-        };
-        let had_prev = prev.is_some();
+        let prev = core
+            .engine
+            .lock()
+            .expect("engine lock")
+            .take_prev_solve(&job.name);
+        let step = PreStep::Incremental(prev.as_ref().map(|p| &p.state));
         let computed = isolate(AssertUnwindSafe(|| {
-            optimize_unit_incremental(
-                &job.function,
-                &opts,
-                &job.context,
-                prev.as_ref().map(|p| &p.state),
-                scratch,
-            )
+            optimize_unit(&job.function, &opts, None, &job.context, step, scratch)
         }));
-        return match computed {
-            Ok((entry, state, stats, phases)) => {
-                let output = cache::with_name(&entry.output_text, &job.name);
-                let mut engine = core.engine.lock().expect("engine lock");
-                if had_prev && !stats.full_fallback {
-                    engine.note_incremental_hit(stats.delta_blocks_resolved as u64);
-                }
-                if had_prev {
-                    engine.note_edit_class(&stats);
-                }
-                engine.note_phases(phases);
-                engine.put_prev_solve(
-                    &job.name,
-                    PrevSolve {
-                        key,
-                        state,
-                        output_text: entry.output_text.clone(),
-                        opts_tag: options_tag(&opts),
-                    },
-                );
-                if cached.is_some() {
-                    engine.cache_mut().insert(key, entry);
-                }
-                Response::UnitOk {
-                    index: job.index,
-                    output,
-                }
-            }
-            Err(e) => unit_err_response(job.index, &job.name, &e),
-        };
+        let mut engine = core.engine.lock().expect("engine lock");
+        let unit = engine.finish_incremental(&job.function, key, prev.is_some(), computed);
+        return unit_response(job.index, unit);
     }
 
     let computed = isolate(AssertUnwindSafe(|| {
@@ -545,16 +490,16 @@ fn process_job(core: &Arc<Core>, scratch: &mut SolverScratch, job: UnitJob) -> R
             &opts,
             job.weights.as_ref(),
             &job.context,
+            PreStep::OneShot(&budget),
             scratch,
-            &budget,
         )
     }));
     match computed {
-        Ok(entry) => {
-            let output = cache::with_name(&entry.output_text, &job.name);
-            if let Some((key, _, _)) = &cached {
+        Ok(run) => {
+            let output = cache::with_name(&run.entry.output_text, &job.name);
+            if opts.use_cache {
                 let mut engine = core.engine.lock().expect("engine lock");
-                engine.cache_mut().insert(*key, entry);
+                engine.cache_mut().insert(key, run.entry);
             }
             Response::UnitOk {
                 index: job.index,
@@ -562,6 +507,13 @@ fn process_job(core: &Arc<Core>, scratch: &mut SolverScratch, job: UnitJob) -> R
             }
         }
         Err(e) => unit_err_response(job.index, &job.name, &e),
+    }
+}
+
+fn unit_response(index: u32, unit: IncrementalUnit) -> Response {
+    match unit.outcome {
+        Ok(output) => Response::UnitOk { index, output },
+        Err(e) => unit_err_response(index, &unit.name, &e),
     }
 }
 

@@ -241,17 +241,17 @@ fn run_and_run_module_agree() {
 #[test]
 fn reused_scratch_makes_pipeline_allocations_o1_amortized() {
     // Drives the worker loop the way the batch engine does — one
-    // `SolverScratch` per worker, `lcm_in` per function — and counts real
+    // `SolverScratch` per worker, `lcm_with` per function — and counts real
     // allocation events. The batch report scrubs these counters (they
     // measure scratch temperature, not the function), so this is the test
     // that pins the O(1)-amortized guarantee itself.
-    use lcm_core::lcm_in;
-    use lcm_dataflow::SolverScratch;
+    use lcm_core::lcm_with;
+    use lcm_dataflow::{SolveStrategy, SolverScratch};
 
     let m = corpus_module(64, 24);
     let fns: Vec<_> = m.functions().iter().collect();
     let per_fn = lcm_driver::pool::run_indexed_with(1, fns.len(), SolverScratch::new, |s, i| {
-        let p = lcm_in(fns[i], s).unwrap();
+        let p = lcm_with(fns[i], SolveStrategy::default(), s).unwrap();
         p.stats.total().allocations
     });
 

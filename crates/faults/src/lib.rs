@@ -494,8 +494,9 @@ pub fn optimize_with_dropped_store_kill(
 /// incremental twin of scratch poisoning. The scramble is seeded and
 /// always lands; shape invariants are preserved, so the poisoned state is
 /// *plausible*: the delta solver will happily reuse it, and only the
-/// unconditional fast-tier validation inside `optimize_incremental` (or a
-/// loud solver divergence) stands between the garbage and the output. The
+/// unconditional fast-tier validation inside
+/// `optimize_incremental_checked_with` (or a loud solver divergence)
+/// stands between the garbage and the output. The
 /// faults suite pins that dichotomy: every poisoned run is caught or
 /// bit-identical to fresh, never silently wrong.
 pub fn poison_prev_solve(state: &mut IncrementalState, seed: u64) {
@@ -774,7 +775,8 @@ mod tests {
     #[test]
     fn corrupted_profiles_never_produce_unsafe_placements() {
         use lcm_cfggen::{corpus, synthetic_profile, GenOptions};
-        use lcm_core::{optimize_speculative, weights_or_unit, EdgeWeights};
+        use lcm_core::{optimize_speculative_checked_with, weights_or_unit, EdgeWeights};
+        use lcm_dataflow::{SolveStrategy, SolverScratch};
         let mut refused = 0usize;
         let mut resolved = 0usize;
         for (i, f) in corpus(0xC0FF, 24, &GenOptions::default())
@@ -797,8 +799,9 @@ mod tests {
             // valid, observationally equivalent result: weights steer only
             // the cost model, never the safety argument.
             let w = weights_or_unit(f, Some(&p));
-            let opt = optimize_speculative(f, &w).unwrap();
-            validate_optimized(&f.clone(), &opt, ValidationLevel::Full, i as u64)
+            let (level, strategy) = (ValidationLevel::Full, SolveStrategy::default());
+            let scratch = &mut SolverScratch::new();
+            optimize_speculative_checked_with(f, &w, level, i as u64, strategy, scratch)
                 .unwrap_or_else(|e| panic!("corrupted profile broke function {i}: {e}"));
         }
         // The corpus is large enough to exercise both outcomes.

@@ -3,7 +3,7 @@
 //! next revision against them, so the failure mode to fear is corrupted
 //! retained state flowing straight into a placement. These tests poison
 //! the state with [`lcm_faults::poison_prev_solve`] and pin the contract
-//! of `optimize_incremental`'s unconditional fast-tier validation:
+//! of `optimize_incremental_checked_with`'s unconditional fast-tier validation:
 //!
 //! 1. a pinned (subject, seed) pair where the poisoned fixpoints produce
 //!    an invalid placement and the validator **refuses** it;
@@ -17,9 +17,30 @@
 
 use lcm_cfggen::{corpus, mutate_function, seeded, GenOptions};
 use lcm_core::validate::{validate_optimized, ValidationLevel};
-use lcm_core::{optimize_incremental, IncrementalState};
+use lcm_core::{
+    optimize_incremental_checked_with, IncrementalOutcome, IncrementalState, PipelineError,
+};
+use lcm_dataflow::{SolveStrategy, SolverScratch};
 use lcm_faults::poison_prev_solve;
-use lcm_ir::parse_function;
+use lcm_ir::{parse_function, Function};
+
+/// A fresh solve that retains its fixpoints, on the default solver.
+fn fresh_state(f: &Function) -> IncrementalState {
+    let scratch = &mut SolverScratch::new();
+    IncrementalState::fresh_with(f, SolveStrategy::default(), scratch)
+        .unwrap()
+        .1
+}
+
+/// A delta solve against `prev` at the fast validation tier.
+fn delta_solve(
+    prev: &IncrementalState,
+    f: &Function,
+    seed: u64,
+) -> Result<IncrementalOutcome, PipelineError> {
+    let (level, strategy) = (ValidationLevel::Fast, SolveStrategy::default());
+    optimize_incremental_checked_with(prev, f, level, seed, strategy, &mut SolverScratch::new())
+}
 
 /// `a + b` is computed on one arm only and `a` is redefined there, so most
 /// scrambles of the fixpoints claim placements the analyses never justify.
@@ -41,9 +62,9 @@ const KILLS: &str = "fn p {
 #[test]
 fn pinned_poison_is_refused_by_the_validator() {
     let f = parse_function(KILLS).unwrap();
-    let (_, mut state) = IncrementalState::fresh(&f).unwrap();
+    let mut state = fresh_state(&f);
     poison_prev_solve(&mut state, 3);
-    let err = optimize_incremental(&state, &f, 0).unwrap_err();
+    let err = delta_solve(&state, &f, 0).unwrap_err();
     // The poison surfaces as a typed failure — a validation rejection or a
     // solver divergence — never as an Ok carrying a wrong program.
     let msg = err.to_string();
@@ -65,9 +86,9 @@ fn poisoned_prev_solve_is_caught_or_harmless_never_silently_wrong() {
         mutate_function(&mut edited, &mut rng, 0.0);
         for next in [f, &edited] {
             for seed in 0..4u64 {
-                let (_, mut state) = IncrementalState::fresh(f).unwrap();
+                let mut state = fresh_state(f);
                 poison_prev_solve(&mut state, seed);
-                match optimize_incremental(&state, next, 7) {
+                match delta_solve(&state, next, 7) {
                     Ok(out) => {
                         validate_optimized(next, &out.optimized, ValidationLevel::Full, seed)
                             .unwrap_or_else(|e| {

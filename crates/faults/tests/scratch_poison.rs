@@ -13,10 +13,23 @@
 
 use lcm_cfggen::{corpus, GenOptions};
 use lcm_core::validate::{validate_optimized, ValidationError, ValidationLevel};
-use lcm_core::{optimize, optimize_with, PreAlgorithm};
+use lcm_core::{
+    optimize, optimize_checked, OptimizeBudget, Optimized, PipelineError, PreAlgorithm,
+};
 use lcm_dataflow::{SolveStrategy, SolverScratch};
 use lcm_faults::optimize_with_poisoned_scratch;
-use lcm_ir::parse_function;
+use lcm_ir::{parse_function, Function};
+
+/// `alg` on a caller-owned scratch arena, unvalidated.
+fn optimize_on(
+    f: &Function,
+    alg: PreAlgorithm,
+    strategy: SolveStrategy,
+    scratch: &mut SolverScratch,
+) -> Result<Optimized, PipelineError> {
+    let (level, budget) = (ValidationLevel::Off, &OptimizeBudget::unlimited());
+    optimize_checked(f, alg, None, level, 0, strategy, scratch, budget).map(|(opt, _)| opt)
+}
 
 /// `a + b` is only computed on the loop path, `a * b` only on the exit
 /// path, so neither is anticipable at the loop header: any insertion
@@ -55,7 +68,7 @@ fn poisoned_scratch_placement_is_caught_by_fast_validation() {
     // The poison was a one-shot skip flag: the very next solve on the same
     // scratch reinitialises and produces the clean result again.
     let clean = optimize(&f, PreAlgorithm::LazyEdge).unwrap();
-    let recovered = optimize_with(
+    let recovered = optimize_on(
         &f,
         PreAlgorithm::LazyEdge,
         SolveStrategy::default(),
@@ -83,9 +96,9 @@ fn function_boundary_poison_is_conservative_or_caught_and_recovers() {
         let clean = optimize(f, PreAlgorithm::LazyEdge).unwrap();
         for seed in 0..3u64 {
             let mut scratch = SolverScratch::new();
-            optimize_with(f, PreAlgorithm::LazyEdge, strategy, &mut scratch).unwrap();
+            optimize_on(f, PreAlgorithm::LazyEdge, strategy, &mut scratch).unwrap();
             scratch.poison_for_fault_injection(seed);
-            match optimize_with(f, PreAlgorithm::LazyEdge, strategy, &mut scratch) {
+            match optimize_on(f, PreAlgorithm::LazyEdge, strategy, &mut scratch) {
                 Ok(opt) => {
                     validate_optimized(f, &opt, ValidationLevel::Fast, 0).unwrap_or_else(|e| {
                         panic!("fn {i} seed {seed}: invalid program slipped through: {e}")
@@ -94,8 +107,7 @@ fn function_boundary_poison_is_conservative_or_caught_and_recovers() {
                 Err(_) => {} // divergence is the loud failure mode
             }
             // Either way the arena is clean again afterwards.
-            let recovered =
-                optimize_with(f, PreAlgorithm::LazyEdge, strategy, &mut scratch).unwrap();
+            let recovered = optimize_on(f, PreAlgorithm::LazyEdge, strategy, &mut scratch).unwrap();
             assert_eq!(recovered.plan.edge_inserts, clean.plan.edge_inserts);
             assert_eq!(recovered.plan.entry_insert, clean.plan.entry_insert);
         }
@@ -111,7 +123,7 @@ fn unpoisoned_scratch_reuse_never_bleeds_across_functions() {
     fns.extend(corpus(0xC1EA_5, 6, &GenOptions::sized(90)));
     for f in &fns {
         let fresh = optimize(f, PreAlgorithm::LazyEdge).unwrap();
-        let reused = optimize_with(
+        let reused = optimize_on(
             f,
             PreAlgorithm::LazyEdge,
             SolveStrategy::default(),

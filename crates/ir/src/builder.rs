@@ -8,7 +8,8 @@ use crate::instr::{Callee, Instr, Terminator};
 ///
 /// The builder starts positioned at the entry block. Terminators are set
 /// explicitly with [`jump`](Self::jump)/[`branch`](Self::branch)/
-/// [`ret`](Self::ret); [`finish`](Self::finish) returns the function.
+/// [`jump_exit`](Self::jump_exit); [`finish`](Self::finish) returns the
+/// function.
 ///
 /// ```
 /// use lcm_ir::FunctionBuilder;

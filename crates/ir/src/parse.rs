@@ -284,7 +284,7 @@ fn err_at_col1(line: usize, message: String) -> ParseError {
 
 /// Parses the textual IR format into a [`Function`].
 ///
-/// See the [module documentation](self) for the grammar. The parser does not
+/// See the module documentation for the grammar. The parser does not
 /// run the [verifier](crate::verify); call it separately if the input is
 /// untrusted. The input must contain exactly one function; use
 /// [`parse_module`] for multi-function sources.

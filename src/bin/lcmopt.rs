@@ -61,8 +61,8 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use lcm::core::{
-    metrics, optimize, optimize_checked, optimize_speculative_checked, passes, report, EdgeWeights,
-    PreAlgorithm, SpecStats, ValidationLevel, ValidationReport,
+    metrics, optimize, optimize_checked, passes, report, EdgeWeights, OptimizeBudget, Optimized,
+    PipelineError, PreAlgorithm, SpecStats, ValidationLevel, ValidationReport,
 };
 use lcm::dataflow::{SolveStrategy, SolverScratch};
 use lcm::driver::protocol::{
@@ -1238,6 +1238,27 @@ fn algorithm_by_name(name: &str) -> Option<PreAlgorithm> {
 /// are reproducible; validation failures therefore always replay.
 const VALIDATION_SEED: u64 = 0x1c3a_57ed;
 
+/// The checked PRE pass at the fixed validation seed, unbudgeted.
+fn checked_pass(
+    g: &Function,
+    alg: PreAlgorithm,
+    weights: Option<&EdgeWeights>,
+    level: ValidationLevel,
+) -> Result<(Optimized, ValidationReport), PipelineError> {
+    let (strategy, budget) = (SolveStrategy::default(), OptimizeBudget::unlimited());
+    let scratch = &mut SolverScratch::new();
+    optimize_checked(
+        g,
+        alg,
+        weights,
+        level,
+        VALIDATION_SEED,
+        strategy,
+        scratch,
+        &budget,
+    )
+}
+
 fn run_pipeline(
     f: &Function,
     pass_names: &[String],
@@ -1263,7 +1284,7 @@ fn run_pipeline(
                 g = lcm::core::strength::strength_reduce(&g).function;
             }
             other => match algorithm_by_name(other) {
-                Some(alg) => match optimize_checked(&g, alg, level, VALIDATION_SEED) {
+                Some(alg) => match checked_pass(&g, alg, None, level) {
                     Ok((opt, rep)) => {
                         reports.push((name.clone(), rep));
                         g = opt.function;
@@ -1310,13 +1331,11 @@ fn run_speculative_pipeline(
 ) -> Result<(Function, ValidationReport, SpecStats), Failure> {
     let mut g = f.clone();
     passes::lcse(&mut g);
-    let (opt, rep) = optimize_speculative_checked(&g, w, level, VALIDATION_SEED)
+    let (opt, rep) = checked_pass(&g, PreAlgorithm::Speculative, Some(w), level)
         .map_err(|e| Failure::new(EXIT_PASS, format!("pass `spec` failed: {e}")))?;
     let stats = opt.spec.unwrap_or_default();
     let mut g = opt.function;
-    passes::copy_propagation(&mut g);
-    passes::dce(&mut g);
-    simplify_cfg(&mut g);
+    passes::cleanup(&mut g);
     verify(&g)
         .map_err(|e| Failure::new(EXIT_PASS, format!("pass `spec` produced invalid IR: {e}")))?;
     Ok((g, rep, stats))

@@ -9,10 +9,10 @@
 
 use lcm::cfggen::shapes;
 use lcm::core::{
-    availability_problem, lcm, morel_renvoise_plan, optimize, ExprUniverse, LocalPredicates,
+    availability_problem, lcm_with, morel_renvoise_plan, optimize, ExprUniverse, LocalPredicates,
     PreAlgorithm,
 };
-use lcm::dataflow::SolverDiverged;
+use lcm::dataflow::{SolveStrategy, SolverDiverged, SolverScratch};
 
 #[test]
 fn ladders_converge_within_bounds_for_every_algorithm() {
@@ -22,7 +22,8 @@ fn ladders_converge_within_bounds_for_every_algorithm() {
             optimize(&f, alg)
                 .unwrap_or_else(|e| panic!("{} diverged on ladder({n}): {e}", alg.name()));
         }
-        lcm(&f).unwrap_or_else(|e| panic!("fused pipeline diverged on ladder({n}): {e}"));
+        lcm_with(&f, SolveStrategy::default(), &mut SolverScratch::new())
+            .unwrap_or_else(|e| panic!("fused pipeline diverged on ladder({n}): {e}"));
     }
 }
 

@@ -8,10 +8,16 @@
 
 use lcm::core::figures::running_example;
 use lcm::core::{
-    lazy_edge_plan, lazy_node_plan, lcm, ExprUniverse, GlobalAnalyses, LocalPredicates,
+    lazy_edge_plan, lazy_node_plan, lcm_with, ExprUniverse, GlobalAnalyses, LcmPipeline,
+    LocalPredicates,
 };
-use lcm::dataflow::BitSet;
+use lcm::dataflow::{BitSet, SolveStrategy, SolverDiverged, SolverScratch};
 use lcm::ir::Function;
+
+/// The fused pipeline on the default solver.
+fn fused(f: &Function) -> Result<LcmPipeline, SolverDiverged> {
+    lcm_with(f, SolveStrategy::default(), &mut SolverScratch::new())
+}
 
 // Universe positions, in first-occurrence order.
 const AB: usize = 0; // a + b
@@ -177,7 +183,7 @@ fn edge_insert_and_delete_match_the_figure() {
     }
 
     // The fused pipeline pins the same placement.
-    let p = lcm(&f).unwrap();
+    let p = fused(&f).unwrap();
     assert_eq!(p.lazy.plan.edge_inserts, lazy.plan.edge_inserts);
     assert_eq!(p.lazy.delete, lazy.delete);
 }

@@ -1,6 +1,6 @@
 //! The incremental re-optimization proof: across a seeded edit corpus
 //! (content edits and shape edits, hundreds of mutate steps), the delta
-//! path of `optimize_incremental` produces **bit-identical** output to a
+//! path of `optimize_incremental_checked_with` produces **bit-identical** output to a
 //! from-scratch solve — including universe growth/shrink (column
 //! widening/remapping), mapped one-block shape edits (row permutation),
 //! and the full-solve fallback on everything more complex — and every
@@ -16,10 +16,29 @@
 
 use lcm::cfggen::{mutate_function, seeded, structured, GenOptions, MutationKind};
 use lcm::core::{
-    optimize, optimize_incremental, IncrementalOutcome, IncrementalState, Optimized, PreAlgorithm,
-    ValidationLevel,
+    optimize, optimize_incremental_checked_with, IncrementalOutcome, IncrementalState, Optimized,
+    PipelineError, PreAlgorithm, ValidationLevel,
 };
+use lcm::dataflow::{SolveStrategy, SolverScratch};
 use lcm::ir::{parse_function, Function};
+
+/// A fresh solve that retains its fixpoints, on the default solver.
+fn fresh_state(f: &Function) -> IncrementalState {
+    let scratch = &mut SolverScratch::new();
+    IncrementalState::fresh_with(f, SolveStrategy::default(), scratch)
+        .unwrap()
+        .1
+}
+
+/// A delta solve against `prev` at the fast validation tier.
+fn delta_solve(
+    prev: &IncrementalState,
+    f: &Function,
+    seed: u64,
+) -> Result<IncrementalOutcome, PipelineError> {
+    let (level, strategy) = (ValidationLevel::Fast, SolveStrategy::default());
+    optimize_incremental_checked_with(prev, f, level, seed, strategy, &mut SolverScratch::new())
+}
 
 fn assert_bit_identical(out: &IncrementalOutcome, fresh: &Optimized, tag: &str) {
     assert_eq!(
@@ -62,14 +81,14 @@ fn edit_corpus_is_bit_identical_to_fresh_solves() {
 
     for seed in 0..10u64 {
         let mut f = structured(seed, &GenOptions::default());
-        let (_, mut state) = IncrementalState::fresh(&f).unwrap();
+        let mut state = fresh_state(&f);
         let mut rng = seeded(seed ^ 0xED17_C0DE);
         for step in 0..24 {
             let mut next = f.clone();
             let kind = mutate_function(&mut next, &mut rng, 0.2);
             let tag = format!("seed {seed} step {step} ({kind:?})");
 
-            let out = optimize_incremental(&state, &next, 42).unwrap();
+            let out = delta_solve(&state, &next, 42).unwrap();
             let fresh = optimize(&next, PreAlgorithm::LazyEdge).unwrap();
             assert_bit_identical(&out, &fresh, &tag);
 
@@ -144,8 +163,8 @@ fn edit_corpus_is_bit_identical_to_fresh_solves() {
 fn run_pair(t1: &str, t2: &str) -> (IncrementalOutcome, Optimized, Function) {
     let f1 = parse_function(t1).unwrap();
     let f2 = parse_function(t2).unwrap();
-    let (_, state) = IncrementalState::fresh(&f1).unwrap();
-    let out = optimize_incremental(&state, &f2, 7).unwrap();
+    let state = fresh_state(&f1);
+    let out = delta_solve(&state, &f2, 7).unwrap();
     let fresh = optimize(&f2, PreAlgorithm::LazyEdge).unwrap();
     (out, fresh, f2)
 }

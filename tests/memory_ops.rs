@@ -5,9 +5,20 @@
 use lcm::cfggen::{corpus, GenOptions};
 use lcm::core::{
     check_memory_kills, optimize_checked, optimize_pipeline, ExprUniverse, LocalPredicates,
-    PreAlgorithm, ValidationLevel,
+    OptimizeBudget, Optimized, PipelineError, PreAlgorithm, ValidationLevel, ValidationReport,
 };
-use lcm::ir::{parse_function, Expr, Instr};
+use lcm::dataflow::{SolveStrategy, SolverScratch};
+use lcm::ir::{parse_function, Expr, Function, Instr};
+
+/// `alg` through the checked pass boundary at the full validation tier.
+fn checked_full(
+    f: &Function,
+    alg: PreAlgorithm,
+) -> Result<(Optimized, ValidationReport), PipelineError> {
+    let (level, seed, strategy) = (ValidationLevel::Full, 0x1c3a_57ed, SolveStrategy::default());
+    let (scratch, budget) = (&mut SolverScratch::new(), &OptimizeBudget::unlimited());
+    optimize_checked(f, alg, None, level, seed, strategy, scratch, budget)
+}
 
 const MEMORY_LOOP: &str = include_str!(concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -127,7 +138,7 @@ fn memory_corpus_validates_full_tier_under_all_placements() {
             PreAlgorithm::LazyEdge,
             PreAlgorithm::Speculative,
         ] {
-            optimize_checked(f, alg, ValidationLevel::Full, 0x1c3a_57ed).unwrap_or_else(|e| {
+            checked_full(f, alg).unwrap_or_else(|e| {
                 panic!(
                     "{} failed full-tier validation on {}: {e}",
                     alg.name(),
@@ -149,7 +160,7 @@ fn golden_pair_validates_under_every_algorithm() {
     for text in [MEMORY_LOOP, MEMORY_ALIAS] {
         let f = parse_function(text).unwrap();
         for alg in PreAlgorithm::ALL {
-            optimize_checked(&f, alg, ValidationLevel::Full, 0x1c3a_57ed).unwrap_or_else(|e| {
+            checked_full(&f, alg).unwrap_or_else(|e| {
                 panic!("{} failed full validation on {}: {e}", alg.name(), f.name)
             });
         }

@@ -2,7 +2,8 @@
 //! daemon answers are byte-identical to `lcmopt batch` answers — cold,
 //! warm from a persisted cache, and after a quarantine — and the watchdog
 //! and admission-control pillars produce their typed responses without
-//! costing the connection.
+//! costing the connection — and a daemon fed an edit stream keeps the same
+//! incremental ledger as `lcmopt watch` fed the same stream.
 
 use std::path::PathBuf;
 
@@ -268,6 +269,82 @@ fn overload_is_shed_whole_and_recovers() {
     let one = "fn tiny {\nentry:\n  x = a + b\n  obs x\n  ret\n}\n";
     let (responses, _) = roundtrip(&d, &optimize_request(one, 0, 0));
     assert_eq!(responses.last(), Some(&Response::Done { ok: 1, failed: 0 }));
+    assert_eq!(d.panics_contained(), 0);
+    d.shutdown().unwrap();
+}
+
+/// One revision per edit class, each applied to one function while the
+/// other replays its memo: identical, content, universe-grow,
+/// universe-shrink, shape-mapped, fallback. No revision reverts a body the
+/// plan cache has seen, so the daemon's cache never answers in place of
+/// its incremental path.
+fn edit_stream() -> Vec<String> {
+    let rev0 = "fn d {\nentry:\n  br c, l, r\nl:\n  x = a + b\n  jmp join\nr:\n  jmp join\n\
+                join:\n  y = a + b\n  obs y\n  ret\n}\n\n\
+                fn straight {\nentry:\n  x = p * q\n  obs x\n  ret\n}\n"
+        .to_string();
+    let content = rev0.replace("y = a + b", "y = a + b\n  a = 1");
+    let grow = content.replace("obs x", "obs x\n  w = p + q\n  obs w");
+    let shrink = grow.replace("x = p * q\n  obs x\n", "");
+    let shape = shrink.replace("r:\n  jmp join", "r:\n  jmp detour\ndetour:\n  jmp join");
+    let fallback = shape.replace("x = a + b\n  jmp join", "x = a + b\n  jmp detour");
+    vec![rev0.clone(), rev0, content, grow, shrink, shape, fallback]
+}
+
+/// The daemon's STATS line starting with `prefix`.
+fn stats_line(d: &Daemon, prefix: &str) -> String {
+    let mut req = Vec::new();
+    write_request(&mut req, &Request::Stats).unwrap();
+    let (responses, _) = roundtrip(d, &req);
+    let Some(Response::Stats { text }) = responses.first() else {
+        panic!("{responses:?}");
+    };
+    text.lines()
+        .find(|l| l.starts_with(prefix))
+        .unwrap_or_else(|| panic!("no `{prefix}` line in:\n{text}"))
+        .to_string()
+}
+
+#[test]
+fn daemon_and_watch_keep_the_same_incremental_ledger() {
+    let d = Daemon::start(ServeOptions {
+        workers: 2,
+        ..ServeOptions::default()
+    });
+    let mut watch = BatchEngine::new(BatchOptions::default());
+    for (i, text) in edit_stream().iter().enumerate() {
+        let units = watch.run_module_incremental(&parse_module(text).unwrap());
+        let (responses, _) = roundtrip(&d, &optimize_request(text, 0, 0));
+        assert_eq!(
+            assemble(&responses),
+            report::render_incremental_text(&units),
+            "revision {i}"
+        );
+    }
+    let classes = watch.edit_classes();
+    for (class, n) in [
+        ("content", classes.content),
+        ("universe-grow", classes.universe_grow),
+        ("universe-shrink", classes.universe_shrink),
+        ("shape-mapped", classes.shape_mapped),
+        ("fallback", classes.fallback),
+        ("zero-dirty", classes.zero_dirty),
+    ] {
+        assert!(n > 0, "the stream never exercised {class}: {classes}");
+    }
+    assert_eq!(
+        stats_line(&d, "edit classes: "),
+        format!("edit classes: {classes}")
+    );
+    let (hits, rows) = watch.incremental_session();
+    assert!(hits > 0 && rows > 0);
+    assert_eq!(
+        stats_line(&d, "incremental: "),
+        format!(
+            "incremental: {hits} hits, {rows} delta blocks resolved, {} states retained",
+            watch.prev_solves_len()
+        )
+    );
     assert_eq!(d.panics_contained(), 0);
     d.shutdown().unwrap();
 }

@@ -3,17 +3,22 @@
 //! fixpoints for every analysis, on every function of the generator
 //! corpus — and therefore identical insert/delete placements.
 //!
-//! This is the safety net under the fused `lcm()` path: the worklist
+//! This is the safety net under the fused `lcm_with` path: the worklist
 //! strategy and the shared orderings are pure cost optimisations, never
 //! allowed to change an answer.
 
 use lcm::cfggen::{arbitrary, corpus, random_dag, shapes, GenOptions};
 use lcm::core::{
-    anticipability_problem, availability_problem, later_problem, lazy_edge_plan, lcm, ExprUniverse,
-    GlobalAnalyses, LocalPredicates,
+    anticipability_problem, availability_problem, later_problem, lazy_edge_plan, lcm_with,
+    ExprUniverse, GlobalAnalyses, LcmPipeline, LocalPredicates,
 };
-use lcm::dataflow::CfgView;
+use lcm::dataflow::{CfgView, SolveStrategy, SolverDiverged, SolverScratch};
 use lcm::ir::Function;
+
+/// The fused pipeline on the default solver.
+fn fused(f: &Function) -> Result<LcmPipeline, SolverDiverged> {
+    lcm_with(f, SolveStrategy::default(), &mut SolverScratch::new())
+}
 
 /// Structured programs, arbitrary (possibly irreducible) CFGs, DAGs and
 /// loop-nest shapes — every generator family in one corpus.
@@ -66,7 +71,7 @@ fn fused_pipeline_placement_is_bit_identical_to_the_seed_path() {
         let ga = GlobalAnalyses::compute(&f, &uni, &local).unwrap();
         let lazy = lazy_edge_plan(&f, &uni, &local, &ga).unwrap();
         // Fused path: shared view, worklist solver.
-        let p = lcm(&f).unwrap();
+        let p = fused(&f).unwrap();
         assert_eq!(p.analyses.avail.ins, ga.avail.ins, "{}", f.name);
         assert_eq!(p.analyses.avail.outs, ga.avail.outs, "{}", f.name);
         assert_eq!(p.analyses.antic.ins, ga.antic.ins, "{}", f.name);

@@ -17,10 +17,21 @@
 
 use lcm::cfggen::{corpus, synthetic_profile, GenOptions};
 use lcm::core::validate::{sample_inputs, validate_optimized};
-use lcm::core::{optimize, optimize_speculative, EdgeWeights, PreAlgorithm, ValidationLevel};
+use lcm::core::{
+    optimize, optimize_speculative_checked_with, EdgeWeights, Optimized, PipelineError,
+    PreAlgorithm, ValidationLevel,
+};
+use lcm::dataflow::{SolveStrategy, SolverScratch};
 use lcm::driver::{report, BatchEngine, BatchOptions, BatchUnit};
 use lcm::interp::run;
-use lcm::ir::{Module, Profile};
+use lcm::ir::{Function, Module, Profile};
+
+/// The speculative placement under `w`, unvalidated.
+fn speculate(f: &Function, w: &EdgeWeights) -> Result<Optimized, PipelineError> {
+    let (level, strategy) = (ValidationLevel::Off, SolveStrategy::default());
+    optimize_speculative_checked_with(f, w, level, 0, strategy, &mut SolverScratch::new())
+        .map(|(opt, _)| opt)
+}
 
 const CORPUS_SEED: u64 = 0x5EC_0001;
 const CORPUS_SIZE: usize = 300;
@@ -35,7 +46,7 @@ fn speculative_placements_validate_at_the_full_tier() {
         let profile = synthetic_profile(f, CORPUS_SEED ^ i as u64);
         let w = EdgeWeights::from_profile(f, &profile)
             .expect("synthetic profiles are flow-conserving by construction");
-        let opt = optimize_speculative(f, &w).expect("speculative pipeline");
+        let opt = speculate(f, &w).expect("speculative pipeline");
         let stats = opt.spec.expect("speculative runs record SpecStats");
         candidates += stats.candidates;
         speculated += stats.speculated;
@@ -64,7 +75,7 @@ fn measured_profiles_never_increase_dynamic_evaluations() {
         let profile = Profile::from_weights(f, &base.edge_visits);
         let w = EdgeWeights::from_profile(f, &profile)
             .unwrap_or_else(|e| panic!("measured profile of #{i} must resolve: {e}"));
-        let spec = optimize_speculative(f, &w).expect("speculative pipeline");
+        let spec = speculate(f, &w).expect("speculative pipeline");
         let lcm = optimize(f, PreAlgorithm::LazyEdge).expect("lcm pipeline");
         let spec_run = run(&spec.function, &inputs, FUEL);
         let lcm_run = run(&lcm.function, &inputs, FUEL);
@@ -104,7 +115,7 @@ fn a_degenerate_profile_reproduces_lcm_bit_for_bit() {
     for (i, f) in fns.iter().enumerate() {
         let zero = Profile::from_weights(f, &vec![0; lcm::ir::EdgeList::new(f).len()]);
         let w = EdgeWeights::from_profile(f, &zero).expect("all-zero weights conserve flow");
-        let spec = optimize_speculative(f, &w).expect("speculative pipeline");
+        let spec = speculate(f, &w).expect("speculative pipeline");
         let lcm = optimize(f, PreAlgorithm::LazyEdge).expect("lcm pipeline");
         assert_eq!(
             spec.function.to_string(),

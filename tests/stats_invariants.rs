@@ -5,10 +5,16 @@
 
 use lcm::cfggen::{arbitrary, corpus, GenOptions};
 use lcm::core::{
-    anticipability_problem, availability_problem, later_problem, lcm, report, ExprUniverse,
-    GlobalAnalyses, LocalPredicates,
+    anticipability_problem, availability_problem, later_problem, lcm_with, report, ExprUniverse,
+    GlobalAnalyses, LcmPipeline, LocalPredicates,
 };
+use lcm::dataflow::{SolveStrategy, SolverDiverged, SolverScratch};
 use lcm::ir::Function;
+
+/// The fused pipeline on the default solver.
+fn fused(f: &Function) -> Result<LcmPipeline, SolverDiverged> {
+    lcm_with(f, SolveStrategy::default(), &mut SolverScratch::new())
+}
 
 fn test_corpus() -> Vec<Function> {
     let mut fns = corpus(0x57A7, 40, &GenOptions::default());
@@ -54,7 +60,7 @@ fn worklist_never_visits_more_nodes_than_round_robin() {
 #[test]
 fn pipeline_totals_are_the_sum_of_the_analyses() {
     for f in test_corpus().into_iter().take(20) {
-        let p = lcm(&f).unwrap();
+        let p = fused(&f).unwrap();
         let total = p.stats.total();
         assert_eq!(
             total.node_visits,
@@ -117,7 +123,7 @@ fn fused_pipeline_is_cheaper_than_the_seed_path_in_aggregate() {
         let lazy = lcm::core::lazy_edge_plan(&f, &uni, &local, &ga).unwrap();
         rr_visits += ga.stats.node_visits + lazy.stats.node_visits;
         rr_words += ga.stats.word_ops + lazy.stats.word_ops;
-        let p = lcm(&f).unwrap();
+        let p = fused(&f).unwrap();
         fused_visits += p.stats.total().node_visits;
         fused_words += p.stats.total().word_ops;
     }

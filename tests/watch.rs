@@ -6,8 +6,10 @@
 //! a *mapped* delta on a recognized one-block shape edit, and a zero-dirty
 //! memo replay for functions the revision didn't touch at all.
 
+use lcm::cfggen::{corpus, synthetic_profile, GenOptions};
+use lcm::core::{PreAlgorithm, ValidationLevel};
 use lcm::driver::{report, BatchEngine, BatchOptions, EditClassCounters, IncrementalMode};
-use lcm::ir::parse_module;
+use lcm::ir::{parse_module, Module};
 
 /// Revision 0: the classic diamond, plus a straight-line function that
 /// never changes (its delta solves should be free).
@@ -117,4 +119,89 @@ fn modes_and_delta_accounting_track_what_changed() {
     assert_eq!(watch.edit_classes().shape_mapped, 1);
     assert_eq!(watch.edit_classes().zero_dirty, 2);
     assert_eq!(watch.edit_classes().fallback, 0);
+}
+
+/// REV0, the speculative golden loop and a few generated functions; with
+/// `profiled`, every other function carries a synthetic edge profile, so
+/// speculative placement sends those units one-shot and the rest down the
+/// incremental path.
+fn parity_module(profiled: bool) -> Module {
+    let golden = include_str!(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/testdata/guarded_loop.lcm"
+    ));
+    let mut fns = parse_module(REV0).unwrap().functions().to_vec();
+    fns.extend(parse_module(golden).unwrap().functions().iter().cloned());
+    fns.extend(corpus(0x9A71_7E57, 4, &GenOptions::default()));
+    let mut m = Module::new(fns);
+    if profiled {
+        let every_other: Vec<_> = m.functions().iter().step_by(2).cloned().collect();
+        for (i, f) in every_other.iter().enumerate() {
+            let profile = synthetic_profile(f, 0x9A71 ^ i as u64);
+            assert!(m.push_profile(profile).is_ok());
+        }
+    }
+    m
+}
+
+#[test]
+fn every_placement_and_tier_matches_one_shot_batches() {
+    let mut placements: Vec<(PreAlgorithm, bool)> =
+        PreAlgorithm::ALL.iter().map(|&a| (a, false)).collect();
+    placements.push((PreAlgorithm::Speculative, true));
+    placements.push((PreAlgorithm::Speculative, false));
+    for (placement, profiled) in placements {
+        let m = parity_module(profiled);
+        for validate in [
+            ValidationLevel::Off,
+            ValidationLevel::Fast,
+            ValidationLevel::Full,
+        ] {
+            let tag = format!(
+                "{} (profiled: {profiled}) at {validate:?}",
+                placement.name()
+            );
+            let opts = BatchOptions {
+                placement,
+                validate,
+                ..BatchOptions::default()
+            };
+            let result = BatchEngine::new(opts).run_module(&m);
+            assert_eq!(result.totals.failed, 0, "{tag}");
+            let want = report::render_text(&result);
+            let mut watch = BatchEngine::new(opts);
+            let first = watch.run_module_incremental(&m);
+            assert_eq!(
+                report::render_incremental_text(&first),
+                want,
+                "{tag}, first"
+            );
+            // The second revision is byte-identical: every incremental
+            // unit replays its memo, every other unit reruns one-shot.
+            let second = watch.run_module_incremental(&m);
+            assert_eq!(
+                report::render_incremental_text(&second),
+                want,
+                "{tag}, second"
+            );
+            for (a, b) in first.iter().zip(&second) {
+                let want_mode = match a.mode {
+                    IncrementalMode::OneShot => IncrementalMode::OneShot,
+                    _ => IncrementalMode::ZeroDirty,
+                };
+                assert_eq!(b.mode, want_mode, "{tag}: fn {}", b.name);
+            }
+            // Plain LCM is incremental; so are the speculative units with
+            // no profile to speculate on.
+            let incremental = matches!(
+                placement,
+                PreAlgorithm::LazyEdge | PreAlgorithm::Speculative
+            );
+            assert_eq!(
+                second.iter().any(|u| u.mode == IncrementalMode::ZeroDirty),
+                incremental,
+                "{tag}"
+            );
+        }
+    }
 }
