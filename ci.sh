@@ -237,4 +237,15 @@ grep -Eq "^edit classes: 1 content, .* 1 zero-dirty$" "$SMOKE/serve.stats"
 "$LCMOPT" request --socket "$SOCK" --shutdown
 wait "$SERVE_PID"
 
+# lcmbench smoke: both benchmark workloads build from source and run for
+# two seconds each. run.py exits non-zero when the build fails or when the
+# benchmark's independent oracle rejects any output, so a break in the
+# library surface lcmbench/ uses fails CI here.
+echo "==> lcmbench smoke: batch-cold and watch-edit, 2 s each"
+for workload in batch-cold watch-edit; do
+  python3 lcmbench/run.py --workload "$workload" --seed 1 --seconds 2 \
+    --trace 0 > "$SMOKE/lcmbench.$workload"
+  grep -q '"correct": true' "$SMOKE/lcmbench.$workload"
+done
+
 echo "ci: OK"

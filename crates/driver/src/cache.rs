@@ -213,8 +213,7 @@ impl PlanCache {
 /// Fingerprints `f` for cache addressing: returns the 128-bit FNV-1a hash
 /// of its canonical text, together with that text.
 pub fn fingerprint(f: &Function) -> (u128, String) {
-    let text = canonical_text(f);
-    (fnv1a_128(text.as_bytes()), text)
+    fingerprint_with_context(f, "")
 }
 
 /// Fingerprints `f` under a placement `context` — a short string naming
@@ -224,19 +223,40 @@ pub fn fingerprint(f: &Function) -> (u128, String) {
 /// hashes exactly like [`fingerprint`], so profile-less speculative runs
 /// (which fall back to plain LCM) share entries with LCM batches.
 pub fn fingerprint_with_context(f: &Function, context: &str) -> (u128, String) {
-    let text = contextual_text(&canonical_text(f), context);
-    (fnv1a_128(text.as_bytes()), text)
+    let text = contextual_text(canonical_text(f), context);
+    let mut h = Fnv1a128::default();
+    h.bytes(text.as_bytes());
+    (h.0, text)
 }
+
+/// The key half of [`fingerprint_with_context`], hashed while printing:
+/// the same bytes go through the same FNV-1a, so the key is the same, but
+/// no text is built. For callers that compare keys and never need the
+/// text (the zero-dirty memo check).
+pub fn fingerprint_key(f: &Function, context: &str) -> u128 {
+    let mut h = Fnv1a128::default();
+    f.write_named(CANONICAL_NAME, &mut h)
+        .expect("the hashing sink never fails");
+    if !context.is_empty() {
+        h.bytes(CONTEXT_SEPARATOR.as_bytes());
+        h.bytes(context.as_bytes());
+    }
+    h.0
+}
+
+/// What [`contextual_text`] puts between a canonical text and its
+/// placement context: a trailing comment line.
+const CONTEXT_SEPARATOR: &str = "\n;; ";
 
 /// Appends `context` to a canonical text as a trailing comment line. The
 /// suffix is part of the stored `canonical_input`, so the collision guard
 /// in [`PlanCache::get`] separates contexts even on a 128-bit collision.
-pub(crate) fn contextual_text(text: &str, context: &str) -> String {
-    if context.is_empty() {
-        text.to_string()
-    } else {
-        format!("{text}\n;; {context}")
+pub(crate) fn contextual_text(mut text: String, context: &str) -> String {
+    if !context.is_empty() {
+        text.push_str(CONTEXT_SEPARATOR);
+        text.push_str(context);
     }
+    text
 }
 
 /// Splits a stored `canonical_input` back into the printed function text
@@ -244,7 +264,7 @@ pub(crate) fn contextual_text(text: &str, context: &str) -> String {
 /// The `;; context` line is *not* IR (the parser's comments start with
 /// `#`), so thin-entry revalidation must strip it before re-parsing.
 pub(crate) fn split_context(canonical_input: &str) -> (&str, &str) {
-    match canonical_input.split_once("\n;; ") {
+    match canonical_input.split_once(CONTEXT_SEPARATOR) {
         Some((text, context)) => (text, context),
         None => (canonical_input, ""),
     }
@@ -253,12 +273,10 @@ pub(crate) fn split_context(canonical_input: &str) -> (&str, &str) {
 /// Prints `f` under [`CANONICAL_NAME`], so same-body functions print
 /// identically regardless of their names.
 pub fn canonical_text(f: &Function) -> String {
-    if f.name == CANONICAL_NAME {
-        return f.to_string();
-    }
-    let mut g = f.clone();
-    g.name = CANONICAL_NAME.to_string();
-    g.to_string()
+    let mut text = String::new();
+    f.write_named(CANONICAL_NAME, &mut text)
+        .expect("writing to a String never fails");
+    text
 }
 
 /// Rewrites the canonical header of `output_text` back to `name` for
@@ -272,19 +290,34 @@ pub(crate) fn with_name(output_text: &str, name: &str) -> String {
     format!("fn {name} {{{rest}")
 }
 
-/// 128-bit FNV-1a. Hand-rolled (hermetic workspace: no hashing crates);
-/// the 128-bit width makes accidental collisions over a corpus
+/// 128-bit FNV-1a, as a [`fmt::Write`] sink so a function can be hashed
+/// while it is printed. Hand-rolled (hermetic workspace: no hashing
+/// crates); the 128-bit width makes accidental collisions over a corpus
 /// astronomically unlikely, and the stored-text comparison in
 /// [`PlanCache::get`] removes even that case from the correctness argument.
-fn fnv1a_128(bytes: &[u8]) -> u128 {
-    const OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
-    const PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
-    let mut h = OFFSET;
-    for &b in bytes {
-        h ^= u128::from(b);
-        h = h.wrapping_mul(PRIME);
+struct Fnv1a128(u128);
+
+impl Default for Fnv1a128 {
+    fn default() -> Self {
+        Fnv1a128(0x6c62_272e_07bb_0142_62b8_2175_6295_c58d)
     }
-    h
+}
+
+impl Fnv1a128 {
+    fn bytes(&mut self, bytes: &[u8]) {
+        const PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
+        for &b in bytes {
+            self.0 ^= u128::from(b);
+            self.0 = self.0.wrapping_mul(PRIME);
+        }
+    }
+}
+
+impl fmt::Write for Fnv1a128 {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.bytes(s.as_bytes());
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -327,7 +360,7 @@ mod tests {
     fn split_context_inverts_contextual_text() {
         let text = "fn __fn {\nentry:\n  ret\n}";
         assert_eq!(split_context(text), (text, ""));
-        let ctx = contextual_text(text, "spec entry=4,1,3");
+        let ctx = contextual_text(text.to_string(), "spec entry=4,1,3");
         assert_eq!(split_context(&ctx), (text, "spec entry=4,1,3"));
     }
 

@@ -48,8 +48,8 @@ mod load;
 mod persist;
 
 pub use cache::{
-    canonical_text, fingerprint, fingerprint_with_context, CacheEntry, CacheStats, ComputedOrigin,
-    PlanCache, CANONICAL_NAME,
+    canonical_text, fingerprint, fingerprint_key, fingerprint_with_context, CacheEntry, CacheStats,
+    ComputedOrigin, PlanCache, CANONICAL_NAME,
 };
 pub use load::{load_units, text_from_bytes, LoadError};
 pub use persist::{
@@ -674,8 +674,9 @@ impl BatchEngine {
     /// ledger (pinned by `tests/serve_determinism.rs`).
     pub fn run_module_incremental(&mut self, m: &Module) -> Vec<IncrementalUnit> {
         let mut scratch = SolverScratch::new();
+        let opts_tag = options_tag(&self.opts);
         m.iter()
-            .map(|f| self.incremental_unit(f, m.profile(&f.name), &mut scratch))
+            .map(|f| self.incremental_unit(f, m.profile(&f.name), &opts_tag, &mut scratch))
             .collect()
     }
 
@@ -683,6 +684,7 @@ impl BatchEngine {
         &mut self,
         f: &Function,
         profile: Option<&Profile>,
+        opts_tag: &str,
         scratch: &mut SolverScratch,
     ) -> IncrementalUnit {
         if let Err(e) = verify(f) {
@@ -707,8 +709,8 @@ impl BatchEngine {
             let outcome = computed.map(|run| cache::with_name(&run.entry.output_text, &f.name));
             return unaccounted_unit(f, outcome, IncrementalMode::OneShot);
         }
-        let key = fingerprint_with_context(f, &context).0;
-        if let Some(replayed) = self.replay_memo(f, key) {
+        let key = fingerprint_key(f, &context);
+        if let Some(replayed) = self.replay_memo(f, key, opts_tag) {
             return replayed;
         }
         let prev = self.take_prev_solve(&f.name);
@@ -716,19 +718,20 @@ impl BatchEngine {
         let computed = isolate(AssertUnwindSafe(|| {
             optimize_unit(f, &self.opts, None, &context, step, scratch)
         }));
-        self.finish_incremental(f, key, prev.is_some(), computed)
+        self.finish_incremental(f, key, opts_tag, prev.is_some(), computed)
     }
 
     /// The zero-dirty memo, the first step of the incremental cycle: when
     /// the state retained for `f`'s name answered exactly this revision
-    /// (fingerprint `key`) under the current options, its output is
-    /// replayed with no solve, rewrite, validation, or printing at all, and
-    /// the replay is counted in the edit ledger. A *dirty* function can
-    /// never match — the fingerprint covers the whole canonical body — and
-    /// an option change invalidates via [`options_tag`].
-    fn replay_memo(&mut self, f: &Function, key: u128) -> Option<IncrementalUnit> {
+    /// (fingerprint `key`) under the current options (`opts_tag`, the
+    /// engine's [`options_tag`]), its output is replayed with no solve,
+    /// rewrite, validation, or printing at all, and the replay is counted
+    /// in the edit ledger. A *dirty* function can never match — the
+    /// fingerprint covers the whole canonical body — and an option change
+    /// invalidates via the tag.
+    fn replay_memo(&mut self, f: &Function, key: u128, opts_tag: &str) -> Option<IncrementalUnit> {
         let p = self.prev_solves.get(&f.name)?;
-        if p.key != key || p.opts_tag != options_tag(&self.opts) {
+        if p.key != key || p.opts_tag != opts_tag {
             return None;
         }
         let output = cache::with_name(&p.output_text, &f.name);
@@ -739,13 +742,14 @@ impl BatchEngine {
     /// The last step of the incremental cycle, after the solve (which a
     /// daemon runs with the engine unlocked): classifies the unit, counts
     /// it in the delta and edit-class ledgers and the phase totals,
-    /// retains its fixpoints and output memo under `key` for the next
-    /// revision, and fills the plan cache. `had_prev` says whether the
-    /// solve ran against retained state.
+    /// retains its fixpoints and output memo under `key` and `opts_tag` for
+    /// the next revision, and fills the plan cache. `had_prev` says whether
+    /// the solve ran against retained state.
     fn finish_incremental(
         &mut self,
         f: &Function,
         key: u128,
+        opts_tag: &str,
         had_prev: bool,
         computed: Result<UnitRun, UnitError>,
     ) -> IncrementalUnit {
@@ -775,7 +779,7 @@ impl BatchEngine {
             key,
             state,
             output_text: run.entry.output_text.clone(),
-            opts_tag: options_tag(&self.opts),
+            opts_tag: opts_tag.to_string(),
         };
         self.put_prev_solve(&f.name, prev);
         if self.opts.use_cache {
@@ -1167,7 +1171,7 @@ fn optimize_unit(
     let elapsed = || t_start.elapsed().as_nanos() as u64;
     let mut g = f.clone();
     g.name = CANONICAL_NAME.to_string();
-    let canonical_input = cache::contextual_text(&g.to_string(), context);
+    let canonical_input = cache::contextual_text(g.to_string(), context);
     passes::lcse(&mut g);
     let pipeline_err = |e: PipelineError| UnitError {
         kind: match e {

@@ -53,9 +53,9 @@ use crate::protocol::{
     ERR_DRAINING, ERR_PARSE, ERR_TOO_LARGE,
 };
 use crate::{
-    cache, fingerprint_with_context, incremental_eligible, isolate, optimize_unit, resolve_jobs,
-    unit_context, BatchEngine, BatchOptions, CacheEntry, FailureKind, IncrementalUnit, LoadStatus,
-    PreStep, UnitError,
+    cache, fingerprint_with_context, incremental_eligible, isolate, optimize_unit, options_tag,
+    resolve_jobs, unit_context, BatchEngine, BatchOptions, CacheEntry, FailureKind,
+    IncrementalUnit, LoadStatus, PreStep, UnitError,
 };
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -411,6 +411,7 @@ fn process_job(core: &Arc<Core>, scratch: &mut SolverScratch, job: UnitJob) -> R
         && job.deadline.is_none()
         && job.fuel == 0;
     let (key, text) = fingerprint_with_context(&job.function, &job.context);
+    let opts_tag = options_tag(&opts);
 
     // The zero-dirty memo is checked *before* the plan cache: the memo was
     // validated when it was produced in this very process, so a hit skips
@@ -418,7 +419,7 @@ fn process_job(core: &Arc<Core>, scratch: &mut SolverScratch, job: UnitJob) -> R
     let cached: Option<CacheEntry> = {
         let mut engine = core.engine.lock().expect("engine lock");
         if incremental {
-            if let Some(unit) = engine.replay_memo(&job.function, key) {
+            if let Some(unit) = engine.replay_memo(&job.function, key, &opts_tag) {
                 return unit_response(job.index, unit);
             }
         }
@@ -480,7 +481,8 @@ fn process_job(core: &Arc<Core>, scratch: &mut SolverScratch, job: UnitJob) -> R
             optimize_unit(&job.function, &opts, None, &job.context, step, scratch)
         }));
         let mut engine = core.engine.lock().expect("engine lock");
-        let unit = engine.finish_incremental(&job.function, key, prev.is_some(), computed);
+        let unit =
+            engine.finish_incremental(&job.function, key, &opts_tag, prev.is_some(), computed);
         return unit_response(job.index, unit);
     }
 

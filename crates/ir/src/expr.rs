@@ -357,12 +357,18 @@ impl Rvalue {
 
     /// Iterates over the variables read by this right-hand side.
     pub fn vars(self) -> impl Iterator<Item = Var> {
-        let (a, b) = match self {
+        let (a, b) = self.var_pair();
+        a.into_iter().chain(b)
+    }
+
+    /// The variables read by this right-hand side, as its first and
+    /// second operand slots.
+    pub(crate) fn var_pair(self) -> (Option<Var>, Option<Var>) {
+        match self {
             Rvalue::Operand(a) => (a.as_var(), None),
             Rvalue::Expr(Expr::Un(_, a)) | Rvalue::Expr(Expr::Mem(a)) => (a.as_var(), None),
             Rvalue::Expr(Expr::Bin(_, a, b)) => (a.as_var(), b.as_var()),
-        };
-        a.into_iter().chain(b)
+        }
     }
 }
 

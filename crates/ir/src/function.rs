@@ -2,6 +2,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::entity_id;
 use crate::expr::{Expr, Operand, Rvalue, Var};
@@ -63,8 +64,11 @@ impl BlockData {
 /// ```
 #[derive(Clone, Default, PartialEq, Eq, Debug)]
 pub struct SymbolTable {
-    names: Vec<String>,
-    index: HashMap<String, Var>,
+    /// Names in [`Var`] order. Each shares its one allocation with its
+    /// `index` key, so interning a name allocates once and cloning a
+    /// table copies no strings.
+    names: Vec<Arc<str>>,
+    index: HashMap<Arc<str>, Var>,
 }
 
 impl SymbolTable {
@@ -80,8 +84,9 @@ impl SymbolTable {
             return v;
         }
         let v = Var(u32::try_from(self.names.len()).expect("too many variables"));
-        self.names.push(name.to_string());
-        self.index.insert(name.to_string(), v);
+        let name: Arc<str> = Arc::from(name);
+        self.names.push(Arc::clone(&name));
+        self.index.insert(name, v);
         v
     }
 
@@ -115,7 +120,7 @@ impl SymbolTable {
         let mut n = self.names.len();
         loop {
             let candidate = format!("{prefix}{n}");
-            if !self.index.contains_key(&candidate) {
+            if !self.index.contains_key(candidate.as_str()) {
                 return self.intern(candidate);
             }
             n += 1;
@@ -127,7 +132,7 @@ impl SymbolTable {
         self.names
             .iter()
             .enumerate()
-            .map(|(i, n)| (Var(i as u32), n.as_str()))
+            .map(|(i, n)| (Var(i as u32), &**n))
     }
 }
 

@@ -33,12 +33,16 @@ pub fn reachable_from_entry(f: &Function) -> Vec<bool> {
 
 /// Returns, per block, whether the exit is reachable from it.
 pub fn reaches_exit(f: &Function) -> Vec<bool> {
-    let preds = f.preds();
+    reaches_exit_via(f, &FlatPreds::new(f))
+}
+
+/// [`reaches_exit`] over predecessors the caller already built.
+pub(crate) fn reaches_exit_via(f: &Function, preds: &FlatPreds) -> Vec<bool> {
     let mut seen = vec![false; f.num_blocks()];
     let mut stack = vec![f.exit()];
     seen[f.exit().index()] = true;
     while let Some(b) = stack.pop() {
-        for &p in &preds[b.index()] {
+        for &p in preds.of(b) {
             if !seen[p.index()] {
                 seen[p.index()] = true;
                 stack.push(p);
@@ -46,6 +50,47 @@ pub fn reaches_exit(f: &Function) -> Vec<bool> {
         }
     }
     seen
+}
+
+/// Every block's predecessors in one flat array, in the order
+/// [`Function::preds`] lists them: two allocations instead of one per
+/// block. Requires every terminator target to be a valid block id.
+pub(crate) struct FlatPreds {
+    /// The predecessors of block `b` are `preds[start[b]..start[b + 1]]`.
+    start: Vec<usize>,
+    preds: Vec<BlockId>,
+}
+
+impl FlatPreds {
+    pub(crate) fn new(f: &Function) -> Self {
+        let n = f.num_blocks();
+        let mut start = vec![0usize; n + 1];
+        for b in f.block_ids() {
+            for s in f.succs(b) {
+                start[s.index() + 1] += 1;
+            }
+        }
+        for i in 0..n {
+            start[i + 1] += start[i];
+        }
+        let mut preds = vec![f.entry(); start[n]];
+        // `start[s]` doubles as block `s`'s fill cursor, so after the fill
+        // it holds `s + 1`'s start; shifting right restores it.
+        for b in f.block_ids() {
+            for s in f.succs(b) {
+                preds[start[s.index()]] = b;
+                start[s.index()] += 1;
+            }
+        }
+        start.rotate_right(1);
+        start[0] = 0;
+        FlatPreds { start, preds }
+    }
+
+    /// The predecessors of `b`.
+    pub(crate) fn of(&self, b: BlockId) -> &[BlockId] {
+        &self.preds[self.start[b.index()]..self.start[b.index() + 1]]
+    }
 }
 
 /// Enumerates every entry→exit path of an **acyclic** function, calling
@@ -160,5 +205,29 @@ mod tests {
         .unwrap();
         assert!(reachable_from_entry(&f).iter().all(|&r| r));
         assert!(reaches_exit(&f).iter().all(|&r| r));
+    }
+
+    #[test]
+    fn flat_preds_match_the_nested_table() {
+        // A loop, a parallel edge (`br c, j, j`) and a block with no preds.
+        let f = parse_function(
+            "fn p {
+             entry:
+               jmp head
+             head:
+               br c, body, done
+             body:
+               br c, j, j
+             j:
+               br c, head, done
+             done:
+               ret
+             }",
+        )
+        .unwrap();
+        let flat = FlatPreds::new(&f);
+        for (b, nested) in f.block_ids().zip(f.preds()) {
+            assert_eq!(flat.of(b), nested.as_slice(), "{b}");
+        }
     }
 }

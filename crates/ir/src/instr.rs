@@ -67,13 +67,14 @@ impl Instr {
 
     /// Iterates over the variables this instruction reads.
     pub fn uses(self) -> impl Iterator<Item = Var> {
-        let vars: Vec<Var> = match self {
-            Instr::Assign { rv, .. } => rv.vars().collect(),
-            Instr::Observe(op) => op.as_var().into_iter().collect(),
-            Instr::Store { addr, val } => addr.as_var().into_iter().chain(val.as_var()).collect(),
-            Instr::Call { args, .. } => args.iter().filter_map(|a| a.as_var()).collect(),
+        let (a, b) = match self {
+            Instr::Assign { rv, .. } => rv.var_pair(),
+            Instr::Observe(a) => (a.as_var(), None),
+            Instr::Store { addr: a, val: b } | Instr::Call { args: [a, b], .. } => {
+                (a.as_var(), b.as_var())
+            }
         };
-        vars.into_iter()
+        a.into_iter().chain(b)
     }
 
     /// Returns `true` if this instruction may write the heap, i.e. kills

@@ -40,8 +40,15 @@
 //! must list every CFG edge of that function exactly once, and the weights
 //! must conserve flow — at each block other than entry and exit, incoming
 //! weights sum to outgoing weights — or parsing fails with a spanned error.
+//!
+//! Parsing streams: one *section* at a time — a `fn` or `profile` header
+//! through the first line that is exactly `}` — is lexed into one reusable
+//! buffer of tokens that borrow from the input. Nothing is allocated per
+//! token or per line, and working memory is bounded by the largest
+//! section, not the module. A lexer error anywhere in the input still wins
+//! over every parse error, as if the whole input were lexed first.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::error::Error;
 use std::fmt;
 
@@ -74,14 +81,15 @@ impl fmt::Display for ParseError {
 
 impl Error for ParseError {}
 
-#[derive(Clone, PartialEq, Eq, Debug)]
-enum Tok {
-    Ident(String),
+/// A token. Identifiers borrow from the input text.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Tok<'a> {
+    Ident(&'a str),
     Int(i64),
     Sym(&'static str),
 }
 
-impl fmt::Display for Tok {
+impl fmt::Display for Tok<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Tok::Ident(s) => write!(f, "`{s}`"),
@@ -91,114 +99,295 @@ impl fmt::Display for Tok {
     }
 }
 
-// Longest-match-first within a shared prefix: `->` before `-`, `<<`/`<=`
-// before `<`, and so on.
-const SYMBOLS: [&str; 25] = [
-    "<<", ">>", "==", "!=", "<=", ">=", "->", "+", "-", "*", "/", "%", "&", "|", "^", "<", ">",
-    "=", ",", ":", "{", "}", "~", "(", ")",
-];
+/// The symbol starting at `bytes[i]`, longest match first: `->` before
+/// `-`, `<<`/`<=` before `<`, and so on.
+fn symbol(bytes: &[u8], i: usize) -> Option<&'static str> {
+    Some(match (bytes[i], bytes.get(i + 1).copied()) {
+        (b'<', Some(b'<')) => "<<",
+        (b'<', Some(b'=')) => "<=",
+        (b'<', _) => "<",
+        (b'>', Some(b'>')) => ">>",
+        (b'>', Some(b'=')) => ">=",
+        (b'>', _) => ">",
+        (b'=', Some(b'=')) => "==",
+        (b'=', _) => "=",
+        (b'!', Some(b'=')) => "!=",
+        (b'-', Some(b'>')) => "->",
+        (b'-', _) => "-",
+        (b'+', _) => "+",
+        (b'*', _) => "*",
+        (b'/', _) => "/",
+        (b'%', _) => "%",
+        (b'&', _) => "&",
+        (b'|', _) => "|",
+        (b'^', _) => "^",
+        (b',', _) => ",",
+        (b':', _) => ":",
+        (b'{', _) => "{",
+        (b'}', _) => "}",
+        (b'~', _) => "~",
+        (b'(', _) => "(",
+        (b')', _) => ")",
+        _ => return None,
+    })
+}
 
-fn tokenize(line: &str, lineno: usize) -> Result<(Vec<Tok>, Vec<usize>), ParseError> {
-    let mut toks = Vec::new();
-    let mut cols = Vec::new();
-    let bytes = line.as_bytes();
-    let mut i = 0;
-    'outer: while i < bytes.len() {
-        let c = bytes[i] as char;
-        if c == '#' {
-            break;
-        }
-        if c.is_whitespace() {
-            i += 1;
-            continue;
-        }
-        if c.is_ascii_alphabetic() || c == '_' {
-            let start = i;
-            while i < bytes.len() {
-                let c = bytes[i] as char;
-                if c.is_ascii_alphanumeric() || c == '_' || c == '.' {
-                    i += 1;
-                } else {
-                    break;
-                }
-            }
-            toks.push(Tok::Ident(line[start..i].to_string()));
-            cols.push(start + 1);
-            continue;
-        }
-        if c.is_ascii_digit() {
-            let start = i;
-            while i < bytes.len() && (bytes[i] as char).is_ascii_digit() {
+/// Lexes the line of `text` that starts at byte `from` onto the end of
+/// `toks`, recording each token's 1-based byte column in `cols`
+/// (saturating at `u32::MAX`). Returns the offset just past the line's
+/// `\n`, or the end of `text`. Lines split at `\n` only; a `\r` before it
+/// is whitespace, so `\r\n` input lexes like `\n` input.
+fn lex_line<'a>(
+    text: &'a str,
+    from: usize,
+    lineno: usize,
+    toks: &mut Vec<Tok<'a>>,
+    cols: &mut Vec<u32>,
+) -> Result<usize, ParseError> {
+    let bytes = text.as_bytes();
+    let mut i = from;
+    while let Some(&b) = bytes.get(i) {
+        let start = i;
+        let tok = match b {
+            b'\n' => return Ok(i + 1),
+            b'#' => break,
+            // The ASCII characters `char::is_whitespace` accepts.
+            b' ' | b'\t' | b'\x0b' | b'\x0c' | b'\r' => {
                 i += 1;
+                continue;
             }
-            let text = &line[start..i];
-            let value = text.parse::<i64>().map_err(|_| ParseError {
-                line: lineno,
-                col: start + 1,
-                message: format!("integer literal `{text}` out of range"),
-            })?;
-            toks.push(Tok::Int(value));
-            cols.push(start + 1);
-            continue;
-        }
-        for sym in SYMBOLS {
-            if line[i..].starts_with(sym) {
-                toks.push(Tok::Sym(sym));
-                cols.push(i + 1);
-                i += sym.len();
-                continue 'outer;
+            b'a'..=b'z' | b'A'..=b'Z' | b'_' => {
+                i += 1;
+                while bytes
+                    .get(i)
+                    .is_some_and(|&c| c.is_ascii_alphanumeric() || c == b'_' || c == b'.')
+                {
+                    i += 1;
+                }
+                Tok::Ident(&text[start..i])
             }
-        }
-        return Err(ParseError {
-            line: lineno,
-            col: i + 1,
-            message: format!("unexpected character `{c}`"),
-        });
+            b'0'..=b'9' => {
+                while bytes.get(i).is_some_and(u8::is_ascii_digit) {
+                    i += 1;
+                }
+                let digits = &text[start..i];
+                Tok::Int(digits.parse().map_err(|_| ParseError {
+                    line: lineno,
+                    col: start - from + 1,
+                    message: format!("integer literal `{digits}` out of range"),
+                })?)
+            }
+            _ => match symbol(bytes, i) {
+                Some(sym) => {
+                    i += sym.len();
+                    Tok::Sym(sym)
+                }
+                None => {
+                    // Report the character itself, not its first UTF-8
+                    // byte; the column stays a byte column.
+                    let c = text[i..].chars().next().unwrap_or('\u{fffd}');
+                    return Err(ParseError {
+                        line: lineno,
+                        col: i - from + 1,
+                        message: format!("unexpected character `{c}`"),
+                    });
+                }
+            },
+        };
+        toks.push(tok);
+        cols.push(u32::try_from(start - from + 1).unwrap_or(u32::MAX));
     }
-    Ok((toks, cols))
+    // A comment, or the end of the input: skip to the next line.
+    Ok(bytes[i..]
+        .iter()
+        .position(|&c| c == b'\n')
+        .map_or(bytes.len(), |n| i + n + 1))
 }
 
-/// The source position of one tokenized line: its 1-based line number plus
-/// the 1-based starting column of each token, so errors can point at the
-/// offending token rather than just the line.
+/// One non-empty, lexed source line: its absolute 1-based line number (so
+/// multi-function inputs keep file-relative error positions), its tokens
+/// and each token's starting column, so errors can point at the offending
+/// token rather than just the line.
 #[derive(Clone, Copy)]
-struct Span<'a> {
-    line: usize,
-    cols: &'a [usize],
+struct Line<'s, 'a> {
+    no: usize,
+    toks: &'s [Tok<'a>],
+    cols: &'s [u32],
 }
 
-impl Span<'_> {
+impl Line<'_, '_> {
     /// The column of token `at`, or just past the last token for
     /// end-of-line errors.
     fn col(&self, at: usize) -> usize {
-        self.cols
-            .get(at)
-            .copied()
-            .unwrap_or_else(|| self.cols.last().map_or(1, |c| c + 1))
+        match self.cols.get(at) {
+            Some(&c) => c as usize,
+            None => self.cols.last().map_or(1, |&c| c as usize + 1),
+        }
     }
 
     fn err(&self, at: usize, message: String) -> ParseError {
         ParseError {
-            line: self.line,
+            line: self.no,
             col: self.col(at),
             message,
         }
     }
 }
 
-struct Ctx {
-    symbols: SymbolTable,
-    labels: HashMap<String, BlockId>,
+/// Where one line's tokens sit in a [`Section`]'s buffers.
+#[derive(Clone, Copy)]
+struct LineRef {
+    no: usize,
+    start: usize,
+    end: usize,
 }
 
-impl Ctx {
-    fn operand(
+/// The reusable token buffer: one section at a time — a header line and
+/// the lines after it up to the first line that is exactly `}` — so
+/// working memory is bounded by the largest function, not the module.
+#[derive(Default)]
+struct Section<'a> {
+    toks: Vec<Tok<'a>>,
+    cols: Vec<u32>,
+    lines: Vec<LineRef>,
+    /// Whether the section ends at a `}` line (else the input ran out).
+    closed: bool,
+}
+
+impl<'a> Section<'a> {
+    fn line(&self, i: usize) -> Line<'_, 'a> {
+        let r = self.lines[i];
+        Line {
+            no: r.no,
+            toks: &self.toks[r.start..r.end],
+            cols: &self.cols[r.start..r.end],
+        }
+    }
+
+    /// The `fn`/`profile` header.
+    fn header(&self) -> Line<'_, 'a> {
+        self.line(0)
+    }
+
+    /// The lines between the header and the closing `}`, or the
+    /// "missing closing `}`" error, anchored at the input's last non-empty
+    /// line.
+    fn body(&self) -> Result<impl Iterator<Item = Line<'_, 'a>> + Clone, ParseError> {
+        let last = self.lines.len() - 1;
+        if !self.closed {
+            return Err(err_at_col1(
+                self.lines[last].no,
+                "missing closing `}`".into(),
+            ));
+        }
+        Ok((1..last).map(|i| self.line(i)))
+    }
+
+    /// The closing `}` line's number.
+    fn close_no(&self) -> usize {
+        self.lines[self.lines.len() - 1].no
+    }
+}
+
+/// Streams the input's lines into a [`Section`], one section at a time.
+struct Reader<'a> {
+    text: &'a str,
+    /// Byte offset of the first unread line.
+    pos: usize,
+    /// 1-based number of the first unread line.
+    line: usize,
+}
+
+impl<'a> Reader<'a> {
+    fn new(text: &'a str) -> Self {
+        Reader {
+            text,
+            pos: 0,
+            line: 1,
+        }
+    }
+
+    /// Lexes the next line onto the end of `toks`/`cols` and returns its
+    /// number, or `None` at the end of the input.
+    fn lex_next(
         &mut self,
-        toks: &[Tok],
-        at: &mut usize,
-        sp: Span<'_>,
-    ) -> Result<Operand, ParseError> {
-        match toks.get(*at) {
+        toks: &mut Vec<Tok<'a>>,
+        cols: &mut Vec<u32>,
+    ) -> Result<Option<usize>, ParseError> {
+        if self.pos >= self.text.len() {
+            return Ok(None);
+        }
+        let no = self.line;
+        self.pos = lex_line(self.text, self.pos, no, toks, cols)?;
+        self.line += 1;
+        Ok(Some(no))
+    }
+
+    /// Lexes the next section into `sec`, replacing its contents. Returns
+    /// `false` when no non-empty line is left.
+    fn next_section(&mut self, sec: &mut Section<'a>) -> Result<bool, ParseError> {
+        sec.toks.clear();
+        sec.cols.clear();
+        sec.lines.clear();
+        sec.closed = false;
+        loop {
+            let start = sec.toks.len();
+            let Some(no) = self.lex_next(&mut sec.toks, &mut sec.cols)? else {
+                break;
+            };
+            let end = sec.toks.len();
+            if start == end {
+                continue;
+            }
+            sec.lines.push(LineRef { no, start, end });
+            if sec.lines.len() > 1 && matches!(sec.toks[start..], [Tok::Sym("}")]) {
+                sec.closed = true;
+                break;
+            }
+        }
+        Ok(!sec.lines.is_empty())
+    }
+
+    /// Lexes the rest of the input one line at a time (reusing `sec`'s
+    /// buffers): its first lexer error, or else the position of its first
+    /// token, if any.
+    fn rest(&mut self, sec: &mut Section<'a>) -> Result<Option<(usize, usize)>, ParseError> {
+        let mut first = None;
+        loop {
+            sec.toks.clear();
+            sec.cols.clear();
+            let Some(no) = self.lex_next(&mut sec.toks, &mut sec.cols)? else {
+                return Ok(first);
+            };
+            if let (None, Some(&col)) = (first, sec.cols.first()) {
+                first = Some((no, col as usize));
+            }
+        }
+    }
+
+    /// The error to report for parse error `e`: a lexer error anywhere in
+    /// the input outranks every parse error (the whole input is one token
+    /// stream), so the lines not yet lexed are lexed now, on the error
+    /// path only.
+    fn or_lex_error(&mut self, sec: &mut Section<'a>, e: ParseError) -> ParseError {
+        self.rest(sec).err().unwrap_or(e)
+    }
+}
+
+/// One function's parse state: its variables and its block labels.
+struct Ctx<'l, 'a> {
+    symbols: SymbolTable,
+    labels: &'l HashMap<&'a str, BlockId>,
+}
+
+/// `` `tok` `` or "end of line", for "expected …, found …" messages.
+fn found(tok: Option<&Tok<'_>>) -> String {
+    tok.map_or("end of line".to_string(), Tok::to_string)
+}
+
+impl Ctx<'_, '_> {
+    fn operand(&mut self, l: Line<'_, '_>, at: &mut usize) -> Result<Operand, ParseError> {
+        match l.toks.get(*at) {
             Some(Tok::Ident(name)) => {
                 *at += 1;
                 Ok(Operand::Var(self.symbols.intern(name)))
@@ -207,71 +396,35 @@ impl Ctx {
                 *at += 1;
                 Ok(Operand::Const(*i))
             }
-            Some(Tok::Sym("-")) => match toks.get(*at + 1) {
+            Some(Tok::Sym("-")) => match l.toks.get(*at + 1) {
                 Some(Tok::Int(i)) => {
                     *at += 2;
                     Ok(Operand::Const(i.wrapping_neg()))
                 }
-                _ => Err(sp.err(*at, "expected integer after unary `-`".into())),
+                _ => Err(l.err(*at, "expected integer after unary `-`".into())),
             },
-            other => Err(sp.err(
-                *at,
-                format!(
-                    "expected operand, found {}",
-                    other.map_or("end of line".to_string(), |t| t.to_string())
-                ),
-            )),
+            other => Err(l.err(*at, format!("expected operand, found {}", found(other)))),
         }
     }
 
-    fn label(&self, toks: &[Tok], at: &mut usize, sp: Span<'_>) -> Result<BlockId, ParseError> {
-        match toks.get(*at) {
+    fn label(&self, l: Line<'_, '_>, at: &mut usize) -> Result<BlockId, ParseError> {
+        match l.toks.get(*at) {
             Some(Tok::Ident(name)) => {
                 let found = self
                     .labels
                     .get(name)
                     .copied()
-                    .ok_or_else(|| sp.err(*at, format!("unknown label `{name}`")));
+                    .ok_or_else(|| l.err(*at, format!("unknown label `{name}`")));
                 *at += 1;
                 found
             }
-            other => Err(sp.err(
-                *at,
-                format!(
-                    "expected label, found {}",
-                    other.map_or("end of line".to_string(), |t| t.to_string())
-                ),
-            )),
+            other => Err(l.err(*at, format!("expected label, found {}", found(other)))),
         }
     }
 }
 
 fn binop_from_sym(sym: &str) -> Option<BinOp> {
     BinOp::ALL.into_iter().find(|o| o.symbol() == sym)
-}
-
-/// One non-empty source line, tokenized, carrying its absolute 1-based line
-/// number so multi-function inputs keep file-relative error positions.
-struct Line {
-    no: usize,
-    toks: Vec<Tok>,
-    cols: Vec<usize>,
-}
-
-/// Tokenizes `text` into its non-empty lines.
-fn tokenize_text(text: &str) -> Result<Vec<Line>, ParseError> {
-    let mut lines = Vec::new();
-    for (idx, raw) in text.lines().enumerate() {
-        let (toks, cols) = tokenize(raw, idx + 1)?;
-        if !toks.is_empty() {
-            lines.push(Line {
-                no: idx + 1,
-                toks,
-                cols,
-            });
-        }
-    }
-    Ok(lines)
 }
 
 fn err_at_col1(line: usize, message: String) -> ParseError {
@@ -295,19 +448,23 @@ fn err_at_col1(line: usize, message: String) -> ParseError {
 /// unknown labels, a missing/duplicate `ret` block, or instructions after a
 /// terminator.
 pub fn parse_function(text: &str) -> Result<Function, ParseError> {
-    let lines = tokenize_text(text)?;
-    if lines.is_empty() {
+    let mut reader = Reader::new(text);
+    let mut sec = Section::default();
+    if !reader.next_section(&mut sec)? {
         return Err(err_at_col1(1, "empty input".into()));
     }
-    let (f, rest) = parse_one(&lines)?;
-    if let Some(extra) = rest.first() {
-        return Err(ParseError {
-            line: extra.no,
-            col: extra.cols.first().copied().unwrap_or(1),
+    let f = match parse_one(&sec, &mut HashMap::new()) {
+        Ok(f) => f,
+        Err(e) => return Err(reader.or_lex_error(&mut sec, e)),
+    };
+    match reader.rest(&mut sec)? {
+        Some((line, col)) => Err(ParseError {
+            line,
+            col,
             message: "content after closing `}`".into(),
-        });
+        }),
+        None => Ok(f),
     }
-    Ok(f)
 }
 
 /// Parses a module: one or more functions back to back, optionally followed
@@ -325,96 +482,76 @@ pub fn parse_function(text: &str) -> Result<Function, ParseError> {
 /// Returns a [`ParseError`] on malformed input, an empty module, a duplicate
 /// function name, or an inconsistent profile section.
 pub fn parse_module(text: &str) -> Result<crate::Module, ParseError> {
-    let lines = tokenize_text(text)?;
-    if lines.is_empty() {
+    let mut reader = Reader::new(text);
+    let mut sec = Section::default();
+    let mut labels = HashMap::new();
+    let mut module = crate::Module::default();
+    if !reader.next_section(&mut sec)? {
         return Err(err_at_col1(1, "empty input".into()));
     }
-    let mut module = crate::Module::default();
-    let mut rest = lines.as_slice();
-    while let Some(header) = rest.first() {
-        let header_pos = (header.no, header.cols.first().copied().unwrap_or(1));
-        if matches!(header.toks.as_slice(),
-            [Tok::Ident(kw), Tok::Ident(_), Tok::Sym("{")] if kw == "profile")
-        {
-            rest = parse_profile_section(rest, &mut module)?;
-            continue;
+    loop {
+        let header = sec.header();
+        let step = match header.toks {
+            [Tok::Ident("profile"), Tok::Ident(name), Tok::Sym("{")] => {
+                parse_profile_section(&sec, name, &mut module)
+            }
+            _ => parse_one(&sec, &mut labels).and_then(|f| {
+                module.push(f).map_err(|f| {
+                    header.err(0, format!("duplicate function `{}` in module", f.name))
+                })
+            }),
+        };
+        if let Err(e) = step {
+            return Err(reader.or_lex_error(&mut sec, e));
         }
-        let (f, remaining) = parse_one(rest)?;
-        if let Err(f) = module.push(f) {
-            return Err(ParseError {
-                line: header_pos.0,
-                col: header_pos.1,
-                message: format!("duplicate function `{}` in module", f.name),
-            });
+        if !reader.next_section(&mut sec)? {
+            return Ok(module);
         }
-        rest = remaining;
     }
-    Ok(module)
 }
 
-/// Parses one `profile NAME { ... }` section from the front of `lines`,
-/// validates it against the named (already-parsed) function, and attaches it
-/// to `module`. Returns the lines after the closing `}`.
-fn parse_profile_section<'a>(
-    lines: &'a [Line],
+/// Parses one `profile NAME { ... }` section, validates it against the
+/// named (already-parsed) function, and attaches it to `module`.
+fn parse_profile_section(
+    sec: &Section<'_>,
+    name: &str,
     module: &mut crate::Module,
-) -> Result<&'a [Line], ParseError> {
-    let header = &lines[0];
-    let header_err = |message: String| ParseError {
-        line: header.no,
-        col: header.cols.first().copied().unwrap_or(1),
-        message,
-    };
-    let name = match header.toks.as_slice() {
-        [Tok::Ident(kw), Tok::Ident(name), Tok::Sym("{")] if kw == "profile" => name.clone(),
-        _ => unreachable!("caller matched the profile header"),
-    };
-    let close = lines[1..]
-        .iter()
-        .position(|l| matches!(l.toks.as_slice(), [Tok::Sym("}")]))
-        .map(|i| i + 1)
-        .ok_or_else(|| {
-            err_at_col1(
-                lines.last().map_or(1, |l| l.no),
-                "missing closing `}`".into(),
-            )
-        })?;
-
+) -> Result<(), ParseError> {
+    let header = sec.header();
     let mut entries = Vec::new();
     // Per-entry source anchors: (line, from col, to col).
     let mut anchors: Vec<(usize, usize, usize)> = Vec::new();
-    for line in &lines[1..close] {
-        let sp = Span {
-            line: line.no,
-            cols: &line.cols,
-        };
-        match line.toks.as_slice() {
+    for line in sec.body()? {
+        match line.toks {
             [Tok::Ident(from), Tok::Sym("->"), Tok::Ident(to), Tok::Sym(":"), Tok::Int(w)] => {
                 // The tokenizer has no signs, so `w` is already >= 0.
                 entries.push(crate::ProfileEntry {
-                    from: from.clone(),
-                    to: to.clone(),
+                    from: from.to_string(),
+                    to: to.to_string(),
                     weight: *w as u64,
                 });
-                anchors.push((line.no, sp.col(0), sp.col(2)));
+                anchors.push((line.no, line.col(0), line.col(2)));
             }
             [_, _, _, _, Tok::Sym("-"), ..] => {
-                return Err(sp.err(4, "profile weight must be a non-negative integer".into()));
+                return Err(line.err(4, "profile weight must be a non-negative integer".into()));
             }
             _ => {
-                return Err(sp.err(0, "expected `FROM -> TO : WEIGHT` profile entry".into()));
+                return Err(line.err(0, "expected `FROM -> TO : WEIGHT` profile entry".into()));
             }
         }
     }
 
     let profile = crate::Profile {
-        function: name.clone(),
+        function: name.to_string(),
         entries,
     };
-    let Some(f) = module.get(&name) else {
-        return Err(header_err(format!(
-            "profile for unknown function `{name}` (the function must precede its profile)"
-        )));
+    let Some(f) = module.get(name) else {
+        return Err(header.err(
+            0,
+            format!(
+                "profile for unknown function `{name}` (the function must precede its profile)"
+            ),
+        ));
     };
     if let Err(e) = profile.resolve(f) {
         use crate::ProfileError as PE;
@@ -437,24 +574,25 @@ fn parse_profile_section<'a>(
                     message,
                 }
             }
-            PE::MissingEdge { .. } => header_err(message),
+            PE::MissingEdge { .. } => header.err(0, message),
         });
     }
     if module.push_profile(profile).is_err() {
-        return Err(header_err(format!(
-            "duplicate profile for function `{name}`"
-        )));
+        return Err(header.err(0, format!("duplicate profile for function `{name}`")));
     }
-    Ok(&lines[close + 1..])
+    Ok(())
 }
 
-/// Parses one function from the front of `lines`; returns it together with
-/// the lines that follow its closing `}`.
-fn parse_one(lines: &[Line]) -> Result<(Function, &[Line]), ParseError> {
-    let header = &lines[0];
+/// Parses the function in `sec`. `labels` is scratch space, reused across
+/// the sections of a module.
+fn parse_one<'a>(
+    sec: &Section<'a>,
+    labels: &mut HashMap<&'a str, BlockId>,
+) -> Result<Function, ParseError> {
+    let header = sec.header();
     let first_line = header.no;
-    let name = match header.toks.as_slice() {
-        [Tok::Ident(kw), Tok::Ident(name), Tok::Sym("{")] if kw == "fn" => name.clone(),
+    let name = match header.toks {
+        [Tok::Ident("fn"), Tok::Ident(name), Tok::Sym("{")] => *name,
         _ => {
             return Err(err_at_col1(
                 first_line,
@@ -462,39 +600,22 @@ fn parse_one(lines: &[Line]) -> Result<(Function, &[Line]), ParseError> {
             ))
         }
     };
-
-    // The body runs to the first `}` line; everything after it belongs to
-    // the next function (if any).
-    let close = lines[1..]
-        .iter()
-        .position(|l| matches!(l.toks.as_slice(), [Tok::Sym("}")]))
-        .map(|i| i + 1)
-        .ok_or_else(|| {
-            err_at_col1(
-                lines.last().map_or(1, |l| l.no),
-                "missing closing `}`".into(),
-            )
-        })?;
-    let body = &lines[1..close];
+    let body = sec.body()?;
 
     // Pass 1: collect block labels in order.
-    let mut ctx = Ctx {
-        symbols: SymbolTable::new(),
-        labels: HashMap::new(),
-    };
+    labels.clear();
     let mut blocks: Vec<BlockData> = Vec::new();
-    for line in body {
-        if let [Tok::Ident(label), Tok::Sym(":")] = line.toks.as_slice() {
-            if ctx.labels.contains_key(label) {
-                return Err(ParseError {
-                    line: line.no,
-                    col: line.cols.first().copied().unwrap_or(1),
-                    message: format!("duplicate label `{label}`"),
-                });
+    for line in body.clone() {
+        if let [Tok::Ident(label), Tok::Sym(":")] = line.toks {
+            match labels.entry(label) {
+                Entry::Occupied(_) => {
+                    return Err(line.err(0, format!("duplicate label `{label}`")));
+                }
+                Entry::Vacant(slot) => {
+                    slot.insert(BlockId::from_index(blocks.len()));
+                }
             }
-            ctx.labels
-                .insert(label.clone(), BlockId::from_index(blocks.len()));
-            blocks.push(BlockData::new(label.clone()));
+            blocks.push(BlockData::new(*label));
         }
     }
     if blocks.is_empty() {
@@ -502,31 +623,32 @@ fn parse_one(lines: &[Line]) -> Result<(Function, &[Line]), ParseError> {
     }
 
     // Pass 2: fill in instructions and terminators.
+    let mut ctx = Ctx {
+        symbols: SymbolTable::new(),
+        labels,
+    };
+    // Label lines come in block order, so the k-th one opens block k; only
+    // the open block can still be unterminated.
     let mut current: Option<usize> = None;
-    let mut terminated = vec![false; blocks.len()];
+    let mut terminated = false;
     let mut exit: Option<BlockId> = None;
-    for line in body {
-        let lineno = line.no;
-        let toks = &line.toks;
-        let sp = Span {
-            line: lineno,
-            cols: &line.cols,
-        };
-        if let [Tok::Ident(label), Tok::Sym(":")] = toks.as_slice() {
+    for l in body {
+        if let [Tok::Ident(_), Tok::Sym(":")] = l.toks {
             if let Some(cur) = current {
-                if !terminated[cur] {
-                    return Err(sp.err(
+                if !terminated {
+                    return Err(l.err(
                         0,
                         format!("block `{}` lacks a terminator", blocks[cur].name),
                     ));
                 }
             }
-            current = Some(ctx.labels[label].index());
+            current = Some(current.map_or(0, |cur| cur + 1));
+            terminated = false;
             continue;
         }
-        let cur = current.ok_or_else(|| sp.err(0, "instruction before first label".into()))?;
-        if terminated[cur] {
-            return Err(sp.err(
+        let cur = current.ok_or_else(|| l.err(0, "instruction before first label".into()))?;
+        if terminated {
+            return Err(l.err(
                 0,
                 format!(
                     "instruction after terminator in block `{}`",
@@ -534,59 +656,55 @@ fn parse_one(lines: &[Line]) -> Result<(Function, &[Line]), ParseError> {
                 ),
             ));
         }
-        let mut at = 0;
-        match toks.first() {
-            Some(Tok::Ident(kw)) if kw == "obs" => {
-                at += 1;
-                let op = ctx.operand(toks, &mut at, sp)?;
-                expect_end(toks, at, sp)?;
+        let mut at = 1;
+        match l.toks {
+            [Tok::Ident("obs"), ..] => {
+                let op = ctx.operand(l, &mut at)?;
+                expect_end(l, at)?;
                 blocks[cur].instrs.push(Instr::Observe(op));
             }
-            Some(Tok::Ident(kw)) if kw == "store" => {
-                at += 1;
-                let addr = ctx.operand(toks, &mut at, sp)?;
-                expect_sym(toks, &mut at, ",", sp)?;
-                let val = ctx.operand(toks, &mut at, sp)?;
-                expect_end(toks, at, sp)?;
+            [Tok::Ident("store"), ..] => {
+                let addr = ctx.operand(l, &mut at)?;
+                expect_sym(l, &mut at, ",")?;
+                let val = ctx.operand(l, &mut at)?;
+                expect_end(l, at)?;
                 blocks[cur].instrs.push(Instr::Store { addr, val });
             }
-            Some(Tok::Ident(kw)) if kw == "call" => {
-                let (callee, args) = parse_call(&mut ctx, toks, &mut at, sp)?;
-                expect_end(toks, at, sp)?;
+            [Tok::Ident("call"), ..] => {
+                let (callee, args) = parse_call(&mut ctx, l, &mut at)?;
+                expect_end(l, at)?;
                 blocks[cur].instrs.push(Instr::Call {
                     dst: None,
                     callee,
                     args,
                 });
             }
-            Some(Tok::Ident(kw)) if kw == "jmp" => {
-                at += 1;
-                let target = ctx.label(toks, &mut at, sp)?;
-                expect_end(toks, at, sp)?;
+            [Tok::Ident("jmp"), ..] => {
+                let target = ctx.label(l, &mut at)?;
+                expect_end(l, at)?;
                 blocks[cur].term = Terminator::Jump(target);
-                terminated[cur] = true;
+                terminated = true;
             }
-            Some(Tok::Ident(kw)) if kw == "br" => {
-                at += 1;
-                let cond = ctx.operand(toks, &mut at, sp)?;
-                expect_sym(toks, &mut at, ",", sp)?;
-                let then_to = ctx.label(toks, &mut at, sp)?;
-                expect_sym(toks, &mut at, ",", sp)?;
-                let else_to = ctx.label(toks, &mut at, sp)?;
-                expect_end(toks, at, sp)?;
+            [Tok::Ident("br"), ..] => {
+                let cond = ctx.operand(l, &mut at)?;
+                expect_sym(l, &mut at, ",")?;
+                let then_to = ctx.label(l, &mut at)?;
+                expect_sym(l, &mut at, ",")?;
+                let else_to = ctx.label(l, &mut at)?;
+                expect_end(l, at)?;
                 blocks[cur].term = Terminator::Branch {
                     cond,
                     then_to,
                     else_to,
                 };
-                terminated[cur] = true;
+                terminated = true;
             }
-            Some(Tok::Ident(kw)) if kw == "ret" && toks.len() == 1 => {
+            [Tok::Ident("ret")] => {
                 blocks[cur].term = Terminator::Exit;
-                terminated[cur] = true;
+                terminated = true;
                 let this = BlockId::from_index(cur);
                 if let Some(prev) = exit {
-                    return Err(sp.err(
+                    return Err(l.err(
                         0,
                         format!(
                             "multiple `ret` blocks: `{}` and `{}`",
@@ -597,143 +715,127 @@ fn parse_one(lines: &[Line]) -> Result<(Function, &[Line]), ParseError> {
                 }
                 exit = Some(this);
             }
-            Some(Tok::Ident(dst)) if matches!(toks.get(1), Some(Tok::Sym("="))) => {
+            [Tok::Ident(dst), Tok::Sym("="), rest @ ..] => {
                 let dst = ctx.symbols.intern(dst);
-                at = 2;
-                if matches!(toks.get(at), Some(Tok::Ident(kw)) if kw == "call") {
-                    let (callee, args) = parse_call(&mut ctx, toks, &mut at, sp)?;
-                    expect_end(toks, at, sp)?;
-                    blocks[cur].instrs.push(Instr::Call {
+                let instr = if let [Tok::Ident("call"), ..] = rest {
+                    at = 3;
+                    let (callee, args) = parse_call(&mut ctx, l, &mut at)?;
+                    Instr::Call {
                         dst: Some(dst),
                         callee,
                         args,
-                    });
+                    }
                 } else {
-                    let rv = parse_rhs(&mut ctx, toks, &mut at, sp)?;
-                    expect_end(toks, at, sp)?;
-                    blocks[cur].instrs.push(Instr::Assign { dst, rv });
-                }
+                    at = 2;
+                    let rv = parse_rhs(&mut ctx, l, &mut at)?;
+                    Instr::Assign { dst, rv }
+                };
+                expect_end(l, at)?;
+                blocks[cur].instrs.push(instr);
             }
             _ => {
-                return Err(sp.err(0, "expected instruction or terminator".into()));
+                return Err(l.err(0, "expected instruction or terminator".into()));
             }
         }
     }
     if let Some(cur) = current {
-        if !terminated[cur] {
+        if !terminated {
             return Err(err_at_col1(
-                lines[close].no,
+                sec.close_no(),
                 format!("block `{}` lacks a terminator", blocks[cur].name),
             ));
         }
     }
     let exit = exit.ok_or_else(|| err_at_col1(first_line, "no `ret` block".into()))?;
 
-    let f = Function {
-        name,
+    Ok(Function {
+        name: name.to_string(),
         blocks,
         entry: BlockId(0),
         exit,
         symbols: ctx.symbols,
-    };
-    Ok((f, &lines[close + 1..]))
+    })
 }
 
-/// Parses `call NAME(a, b)` starting at the `call` keyword; leaves `at`
-/// just past the closing `)`.
+/// Parses the `NAME(a, b)` of a call with `at` just past the `call`
+/// keyword; leaves `at` just past the closing `)`.
 fn parse_call(
-    ctx: &mut Ctx,
-    toks: &[Tok],
+    ctx: &mut Ctx<'_, '_>,
+    l: Line<'_, '_>,
     at: &mut usize,
-    sp: Span<'_>,
 ) -> Result<(Callee, [Operand; 2]), ParseError> {
-    *at += 1; // the `call` keyword
-    let callee = match toks.get(*at) {
+    let callee = match l.toks.get(*at) {
         Some(Tok::Ident(name)) => Callee::by_name(name)
-            .ok_or_else(|| sp.err(*at, format!("unknown intrinsic `{name}`")))?,
+            .ok_or_else(|| l.err(*at, format!("unknown intrinsic `{name}`")))?,
         other => {
-            return Err(sp.err(
+            return Err(l.err(
                 *at,
-                format!(
-                    "expected intrinsic name, found {}",
-                    other.map_or("end of line".to_string(), |t| t.to_string())
-                ),
+                format!("expected intrinsic name, found {}", found(other)),
             ))
         }
     };
     *at += 1;
-    expect_sym(toks, at, "(", sp)?;
-    let a = ctx.operand(toks, at, sp)?;
-    expect_sym(toks, at, ",", sp)?;
-    let b = ctx.operand(toks, at, sp)?;
-    expect_sym(toks, at, ")", sp)?;
+    expect_sym(l, at, "(")?;
+    let a = ctx.operand(l, at)?;
+    expect_sym(l, at, ",")?;
+    let b = ctx.operand(l, at)?;
+    expect_sym(l, at, ")")?;
     Ok((callee, [a, b]))
 }
 
-fn parse_rhs(
-    ctx: &mut Ctx,
-    toks: &[Tok],
-    at: &mut usize,
-    sp: Span<'_>,
-) -> Result<Rvalue, ParseError> {
+fn parse_rhs(ctx: &mut Ctx<'_, '_>, l: Line<'_, '_>, at: &mut usize) -> Result<Rvalue, ParseError> {
+    let toks = l.toks;
     // A memory read: `load p`.
-    if matches!(toks.get(*at), Some(Tok::Ident(kw)) if kw == "load") {
+    if let Some(Tok::Ident("load")) = toks.get(*at) {
         *at += 1;
-        let a = ctx.operand(toks, at, sp)?;
+        let a = ctx.operand(l, at)?;
         return Ok(Rvalue::Expr(Expr::Mem(a)));
     }
     // Unary: `-a`, `~a`, `~5` (but `-5` is the constant).
     match (toks.get(*at), toks.get(*at + 1)) {
         (Some(Tok::Sym("-")), Some(Tok::Ident(_))) => {
             *at += 1;
-            let a = ctx.operand(toks, at, sp)?;
+            let a = ctx.operand(l, at)?;
             return Ok(Rvalue::Expr(Expr::Un(UnOp::Neg, a)));
         }
         (Some(Tok::Sym("~")), _) => {
             *at += 1;
-            let a = ctx.operand(toks, at, sp)?;
+            let a = ctx.operand(l, at)?;
             return Ok(Rvalue::Expr(Expr::Un(UnOp::Not, a)));
         }
         _ => {}
     }
-    let a = ctx.operand(toks, at, sp)?;
+    let a = ctx.operand(l, at)?;
     match toks.get(*at) {
         None => Ok(Rvalue::Operand(a)),
         Some(Tok::Sym(sym)) => {
             let op = binop_from_sym(sym)
-                .ok_or_else(|| sp.err(*at, format!("unknown binary operator `{sym}`")))?;
+                .ok_or_else(|| l.err(*at, format!("unknown binary operator `{sym}`")))?;
             *at += 1;
-            let b = ctx.operand(toks, at, sp)?;
+            let b = ctx.operand(l, at)?;
             Ok(Rvalue::Expr(Expr::Bin(op, a, b)))
         }
-        Some(other) => Err(sp.err(
+        Some(other) => Err(l.err(
             *at,
             format!("expected operator or end of line, found {other}"),
         )),
     }
 }
 
-fn expect_sym(toks: &[Tok], at: &mut usize, sym: &str, sp: Span<'_>) -> Result<(), ParseError> {
-    match toks.get(*at) {
+fn expect_sym(l: Line<'_, '_>, at: &mut usize, sym: &str) -> Result<(), ParseError> {
+    match l.toks.get(*at) {
         Some(Tok::Sym(s)) if *s == sym => {
             *at += 1;
             Ok(())
         }
-        other => Err(sp.err(
-            *at,
-            format!(
-                "expected `{sym}`, found {}",
-                other.map_or("end of line".to_string(), |t| t.to_string())
-            ),
-        )),
+        other => Err(l.err(*at, format!("expected `{sym}`, found {}", found(other)))),
     }
 }
 
-fn expect_end(toks: &[Tok], at: usize, sp: Span<'_>) -> Result<(), ParseError> {
-    if at == toks.len() {
-        Ok(())
-    } else {
-        Err(sp.err(at, format!("trailing tokens starting at {}", toks[at])))
+fn expect_end(l: Line<'_, '_>, at: usize) -> Result<(), ParseError> {
+    match l.toks.get(at) {
+        None => Ok(()),
+        Some(t) => Err(l.err(at, format!("trailing tokens starting at {t}"))),
     }
 }
 

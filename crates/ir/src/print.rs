@@ -5,130 +5,151 @@
 //! yields a structurally equal function (block order, labels, instructions
 //! and variable names are all preserved).
 
-use std::fmt;
+use std::fmt::{self, Write};
 
 use crate::expr::{Expr, Operand, Rvalue};
 use crate::function::Function;
 use crate::instr::{Instr, Terminator};
 
-/// Helper pairing an IR entity with its function for name resolution.
-struct WithFn<'a, T> {
-    f: &'a Function,
-    item: T,
-}
+impl Function {
+    /// Writes the function under `name` (its own name is ignored) straight
+    /// into `out`: the text [`Display`](fmt::Display) prints, with no
+    /// intermediate string per line. Printing under a placeholder name is
+    /// how the driver fingerprints a body without cloning the function.
+    pub fn write_named<W: Write + ?Sized>(&self, name: &str, out: &mut W) -> fmt::Result {
+        out.write_str("fn ")?;
+        out.write_str(name)?;
+        out.write_str(" {\n")?;
+        for b in self.block_ids() {
+            let data = self.block(b);
+            out.write_str(&data.name)?;
+            out.write_str(":\n")?;
+            for &instr in &data.instrs {
+                out.write_str("  ")?;
+                self.write_instr(instr, out)?;
+                out.write_char('\n')?;
+            }
+            out.write_str("  ")?;
+            self.write_term(data.term, out)?;
+            out.write_char('\n')?;
+        }
+        out.write_char('}')
+    }
 
-impl fmt::Display for WithFn<'_, Operand> {
-    fn fmt(&self, out: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.item {
-            Operand::Var(v) => out.write_str(self.f.var_name(v)),
+    fn write_operand<W: Write + ?Sized>(&self, op: Operand, out: &mut W) -> fmt::Result {
+        match op {
+            Operand::Var(v) => out.write_str(self.var_name(v)),
             Operand::Const(c) => write!(out, "{c}"),
         }
     }
-}
 
-impl fmt::Display for WithFn<'_, Rvalue> {
-    fn fmt(&self, out: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let f = self.f;
-        match self.item {
-            Rvalue::Operand(o) => write!(out, "{}", WithFn { f, item: o }),
-            Rvalue::Expr(Expr::Un(op, a)) => {
-                write!(out, "{}{}", op.symbol(), WithFn { f, item: a })
+    fn write_expr<W: Write + ?Sized>(&self, e: Expr, out: &mut W) -> fmt::Result {
+        match e {
+            Expr::Un(op, a) => {
+                out.write_str(op.symbol())?;
+                self.write_operand(a, out)
             }
-            Rvalue::Expr(Expr::Bin(op, a, b)) => write!(
-                out,
-                "{} {} {}",
-                WithFn { f, item: a },
-                op.symbol(),
-                WithFn { f, item: b }
-            ),
-            Rvalue::Expr(Expr::Mem(a)) => write!(out, "load {}", WithFn { f, item: a }),
+            Expr::Bin(op, a, b) => {
+                self.write_operand(a, out)?;
+                out.write_char(' ')?;
+                out.write_str(op.symbol())?;
+                out.write_char(' ')?;
+                self.write_operand(b, out)
+            }
+            Expr::Mem(a) => {
+                out.write_str("load ")?;
+                self.write_operand(a, out)
+            }
         }
     }
-}
 
-impl Function {
-    /// Renders a single instruction using this function's variable names.
-    pub fn display_instr(&self, instr: Instr) -> String {
+    fn write_instr<W: Write + ?Sized>(&self, instr: Instr, out: &mut W) -> fmt::Result {
         match instr {
             Instr::Assign { dst, rv } => {
-                format!("{} = {}", self.var_name(dst), WithFn { f: self, item: rv })
-            }
-            Instr::Observe(op) => format!("obs {}", WithFn { f: self, item: op }),
-            Instr::Store { addr, val } => format!(
-                "store {}, {}",
-                WithFn {
-                    f: self,
-                    item: addr
-                },
-                WithFn { f: self, item: val }
-            ),
-            Instr::Call { dst, callee, args } => {
-                let call = format!(
-                    "call {}({}, {})",
-                    callee.name(),
-                    WithFn {
-                        f: self,
-                        item: args[0]
-                    },
-                    WithFn {
-                        f: self,
-                        item: args[1]
-                    }
-                );
-                match dst {
-                    Some(d) => format!("{} = {}", self.var_name(d), call),
-                    None => call,
+                out.write_str(self.var_name(dst))?;
+                out.write_str(" = ")?;
+                match rv {
+                    Rvalue::Operand(o) => self.write_operand(o, out),
+                    Rvalue::Expr(e) => self.write_expr(e, out),
                 }
             }
+            Instr::Observe(op) => {
+                out.write_str("obs ")?;
+                self.write_operand(op, out)
+            }
+            Instr::Store { addr, val } => {
+                out.write_str("store ")?;
+                self.write_operand(addr, out)?;
+                out.write_str(", ")?;
+                self.write_operand(val, out)
+            }
+            Instr::Call { dst, callee, args } => {
+                if let Some(d) = dst {
+                    out.write_str(self.var_name(d))?;
+                    out.write_str(" = ")?;
+                }
+                out.write_str("call ")?;
+                out.write_str(callee.name())?;
+                out.write_char('(')?;
+                self.write_operand(args[0], out)?;
+                out.write_str(", ")?;
+                self.write_operand(args[1], out)?;
+                out.write_char(')')
+            }
         }
+    }
+
+    fn write_term<W: Write + ?Sized>(&self, term: Terminator, out: &mut W) -> fmt::Result {
+        match term {
+            Terminator::Jump(t) => {
+                out.write_str("jmp ")?;
+                out.write_str(&self.block(t).name)
+            }
+            Terminator::Branch {
+                cond,
+                then_to,
+                else_to,
+            } => {
+                out.write_str("br ")?;
+                self.write_operand(cond, out)?;
+                out.write_str(", ")?;
+                out.write_str(&self.block(then_to).name)?;
+                out.write_str(", ")?;
+                out.write_str(&self.block(else_to).name)
+            }
+            Terminator::Exit => out.write_str("ret"),
+        }
+    }
+
+    /// Renders a single instruction using this function's variable names.
+    pub fn display_instr(&self, instr: Instr) -> String {
+        let mut s = String::new();
+        self.write_instr(instr, &mut s)
+            .expect("writing to a String never fails");
+        s
     }
 
     /// Renders an expression (e.g. `a + b`) using this function's variable
     /// names.
     pub fn display_expr(&self, e: Expr) -> String {
-        format!(
-            "{}",
-            WithFn {
-                f: self,
-                item: Rvalue::Expr(e)
-            }
-        )
+        let mut s = String::new();
+        self.write_expr(e, &mut s)
+            .expect("writing to a String never fails");
+        s
     }
 
     /// Renders a terminator using this function's block labels.
     pub fn display_term(&self, term: Terminator) -> String {
-        match term {
-            Terminator::Jump(t) => format!("jmp {}", self.block(t).name),
-            Terminator::Branch {
-                cond,
-                then_to,
-                else_to,
-            } => format!(
-                "br {}, {}, {}",
-                WithFn {
-                    f: self,
-                    item: cond
-                },
-                self.block(then_to).name,
-                self.block(else_to).name
-            ),
-            Terminator::Exit => "ret".to_string(),
-        }
+        let mut s = String::new();
+        self.write_term(term, &mut s)
+            .expect("writing to a String never fails");
+        s
     }
 }
 
 impl fmt::Display for Function {
     fn fmt(&self, out: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(out, "fn {} {{", self.name)?;
-        for b in self.block_ids() {
-            let data = self.block(b);
-            writeln!(out, "{}:", data.name)?;
-            for &instr in &data.instrs {
-                writeln!(out, "  {}", self.display_instr(instr))?;
-            }
-            writeln!(out, "  {}", self.display_term(data.term))?;
-        }
-        write!(out, "}}")
+        self.write_named(&self.name, out)
     }
 }
 

@@ -79,8 +79,9 @@ pub fn verify(f: &Function) -> Result<(), VerifyError> {
         }
     }
 
-    let preds = f.preds();
-    if !preds[f.entry().index()].is_empty() {
+    // Built once, after the target check made every successor valid.
+    let preds = graph::FlatPreds::new(f);
+    if !preds.of(f.entry()).is_empty() {
         return Err(VerifyError::EntryHasPredecessors(f.entry()));
     }
 
@@ -98,7 +99,7 @@ pub fn verify(f: &Function) -> Result<(), VerifyError> {
     if let Some(b) = f.block_ids().find(|b| !reachable[b.index()]) {
         return Err(VerifyError::Unreachable(b));
     }
-    let reaches_exit = graph::reaches_exit(f);
+    let reaches_exit = graph::reaches_exit_via(f, &preds);
     if let Some(b) = f.block_ids().find(|b| !reaches_exit[b.index()]) {
         return Err(VerifyError::CannotReachExit(b));
     }

@@ -110,3 +110,18 @@ fn validate_flag_levels_are_accepted() {
         assert_eq!(code, 0, "{arg}: {stderr}");
     }
 }
+
+#[test]
+fn non_ascii_input_names_the_character() {
+    for (text, col, shown) in [
+        ("fn u {\nentry:\n  x = \u{c5} + b\n  ret\n}\n", 7, "\u{c5}"),
+        ("fn u {\nentry:\n  x =\u{a0}a + b\n  ret\n}\n", 6, "\u{a0}"),
+    ] {
+        let (code, _, stderr) = run_lcmopt(&[], text.as_bytes());
+        assert_eq!(code, 3, "{stderr}");
+        assert!(
+            stderr.contains(&format!(":3:{col}: unexpected character `{shown}`")),
+            "{stderr}"
+        );
+    }
+}
