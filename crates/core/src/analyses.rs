@@ -197,30 +197,10 @@ impl GlobalAnalyses {
         Ok(Self::derive(f, uni, local, avail, antic))
     }
 
-    /// The fused-pipeline variant of [`compute`](Self::compute): both
-    /// analyses run on the change-driven worklist solver against a shared
-    /// [`CfgView`]. Reaches the same fixpoints (the framework is monotone),
-    /// typically with fewer node visits and word operations.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SolverDiverged`] if either fixpoint iteration exceeds its
-    /// pop budget.
-    pub fn compute_in(
-        f: &Function,
-        uni: &ExprUniverse,
-        local: &LocalPredicates,
-        view: &CfgView,
-    ) -> Result<Self, SolverDiverged> {
-        let avail = availability_problem(f, uni, local).try_solve_worklist_in(view)?;
-        let antic = anticipability_problem(f, uni, local).try_solve_worklist_in(view)?;
-        Ok(Self::derive(f, uni, local, avail, antic))
-    }
-
-    /// Like [`compute_in`](Self::compute_in), but with an explicit
-    /// [`SolveStrategy`] and a caller-owned [`SolverScratch`] reused by both
-    /// solves (and, in the fused pipeline, by the LATER solve after them) —
-    /// the zero-allocation batch path.
+    /// Like [`compute`](Self::compute), but against a shared [`CfgView`],
+    /// with an explicit [`SolveStrategy`] and a caller-owned
+    /// [`SolverScratch`] reused by both solves (and, in the fused pipeline,
+    /// by the LATER solve after them) — the zero-allocation batch path.
     ///
     /// # Errors
     ///

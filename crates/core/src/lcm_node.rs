@@ -40,7 +40,7 @@
 //! computations (property-tested); the placements differ only in
 //! representation (block entry/exit vs. edge).
 
-use lcm_dataflow::{BitSet, CfgView, SolveStats, SolverDiverged};
+use lcm_dataflow::{BitSet, CfgView, SolveStats, SolveStrategy, SolverDiverged, SolverScratch};
 use lcm_ir::{graph, Function};
 
 use crate::analyses::GlobalAnalyses;
@@ -95,9 +95,16 @@ pub fn lazy_node_plan(
     let universe = ExprUniverse::of(&split);
     let local = LocalPredicates::compute(&split, &universe);
     // One shared view: orderings and adjacency for the framework solves
-    // (inside `compute_in`) and for the hand-rolled DELAY/ISOLATED sweeps.
+    // (inside `compute_with`) and for the hand-rolled DELAY/ISOLATED sweeps.
     let view = CfgView::new(&split);
-    let ga = GlobalAnalyses::compute_in(&split, &universe, &local, &view)?;
+    let ga = GlobalAnalyses::compute_with(
+        &split,
+        &universe,
+        &local,
+        &view,
+        SolveStrategy::SccPriority,
+        &mut SolverScratch::new(),
+    )?;
     let n = split.num_blocks();
     let entry = split.entry();
     let words = universe.len().div_ceil(64) as u64;

@@ -1,5 +1,5 @@
 //! The fused LCM pipeline: one CFG view, shared local predicates, and the
-//! change-driven worklist solver for all analyses.
+//! SCC-priority worklist solver for all analyses.
 //!
 //! The paper's complexity claim is that lazy code motion costs no more than
 //! a constant number of *unidirectional bit-vector* analyses. Running each
@@ -195,7 +195,8 @@ mod tests {
     fn stats_cover_all_three_analyses() {
         let f = parse_function(DIAMOND).unwrap();
         let p = fused(&f);
-        // Worklist solves leave `iterations` at zero but always visit nodes.
+        // SCC-priority solves leave `iterations` at zero but always visit
+        // nodes.
         for s in [p.stats.avail, p.stats.antic, p.stats.later] {
             assert_eq!(s.iterations, 0);
             assert!(s.node_visits > 0);

@@ -181,7 +181,7 @@ pub fn plan_report(f: &Function, uni: &ExprUniverse, plan: &PlacementPlan) -> St
 }
 
 /// Renders the per-analysis solver cost of a fused [`lcm_with`](crate::lcm_with)
-/// run, one row per analysis plus their total. Worklist solves report `0`
+/// run, one row per analysis plus their total. SCC-priority solves report `0`
 /// iterations (the column is only meaningful for round-robin sweeps).
 pub fn stats_table(stats: &PipelineStats) -> String {
     let mut out = String::new();

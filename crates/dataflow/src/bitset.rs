@@ -26,9 +26,6 @@ pub(crate) const WORD_BITS: usize = 64;
 #[inline(always)]
 fn zip_rows_changed(dst: &mut [u64], src: &[u64], op: impl Fn(u64, u64) -> u64) -> bool {
     assert_eq!(dst.len(), src.len(), "row length mismatch");
-    if dst.len() >= WIDE_ROW_WORDS {
-        return zip_rows_changed_tiled(dst, src, op);
-    }
     let mut diff = 0u64;
     let mut dst_chunks = dst.chunks_exact_mut(4);
     let mut src_chunks = src.chunks_exact(4);
@@ -51,50 +48,11 @@ fn zip_rows_changed(dst: &mut [u64], src: &[u64], op: impl Fn(u64, u64) -> u64) 
     diff != 0
 }
 
-/// Rows at or above this many words (≥ 2048-bit universes) take the tiled
-/// kernel path below instead of the plain 4-word unroll.
+/// The row width, in words, from which a universe counts as wide
+/// (≥ 2048 bits). No kernel branches on it: every row takes the 4-word
+/// unroll above. Its only use is the benchmark's `dataflow.wide_row_fns`
+/// counter, which reports how many functions reach this width.
 pub const WIDE_ROW_WORDS: usize = 32;
-
-/// Tile size of the wide-row kernel: 32 words = 256 bytes = four cache
-/// lines, small enough to stay in L1 while the hardware prefetcher streams
-/// the next tile.
-const TILE_WORDS: usize = 32;
-
-/// The wide-universe variant of [`zip_rows_changed`]: processes the row in
-/// four-cache-line tiles with four *independent* diff accumulators (one
-/// per unroll lane) so the change-detection OR never serialises the lanes,
-/// and the compiler sees a long fixed-trip-count inner loop it can
-/// vectorise and software-pipeline. On narrow rows the plain unroll wins
-/// (less prologue); the dispatch threshold is [`WIDE_ROW_WORDS`].
-#[inline(always)]
-fn zip_rows_changed_tiled(dst: &mut [u64], src: &[u64], op: impl Fn(u64, u64) -> u64) -> bool {
-    debug_assert_eq!(dst.len(), src.len(), "row length mismatch");
-    let mut diff = [0u64; 4];
-    let mut dst_tiles = dst.chunks_exact_mut(TILE_WORDS);
-    let mut src_tiles = src.chunks_exact(TILE_WORDS);
-    for (d, s) in (&mut dst_tiles).zip(&mut src_tiles) {
-        let mut i = 0;
-        while i < TILE_WORDS {
-            for lane in 0..4 {
-                let new = op(d[i + lane], s[i + lane]);
-                diff[lane] |= new ^ d[i + lane];
-                d[i + lane] = new;
-            }
-            i += 4;
-        }
-    }
-    let mut tail = 0u64;
-    for (a, &b) in dst_tiles
-        .into_remainder()
-        .iter_mut()
-        .zip(src_tiles.remainder())
-    {
-        let new = op(*a, b);
-        tail |= new ^ *a;
-        *a = new;
-    }
-    (diff[0] | diff[1] | diff[2] | diff[3] | tail) != 0
-}
 
 /// `dst ∪= src` over equal-length word rows; returns `true` if `dst`
 /// changed.
@@ -912,15 +870,9 @@ mod tests {
             z ^ (z >> 31)
         };
         let widths: Vec<usize> = (0..=11usize)
-            .chain([
-                WIDE_ROW_WORDS - 1, // widest plain-unroll row
-                WIDE_ROW_WORDS,     // first tiled row
-                WIDE_ROW_WORDS + 1,
-                2 * TILE_WORDS - 1, // tile boundary ± 1
-                2 * TILE_WORDS,
-                2 * TILE_WORDS + 1,
-                4 * TILE_WORDS + 7, // multi-tile with scalar tail
-            ])
+            // Wide universes (the benchmark's wide-row threshold ± 1) take
+            // the same unroll.
+            .chain([WIDE_ROW_WORDS - 1, WIDE_ROW_WORDS, WIDE_ROW_WORDS + 1])
             .collect();
         for words in widths {
             for trial in 0..50 {
@@ -949,61 +901,6 @@ mod tests {
                             assert_eq!(flag2, want2, "{name} idempotent flag");
                         }
                     }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn tiled_wide_kernel_matches_scalar_reference_directly() {
-        // The tiled kernel is also correct below its dispatch threshold
-        // (pure-remainder shapes) and across tile boundaries; exercise it
-        // directly rather than through `zip_rows_changed`'s width dispatch.
-        fn reference(dst: &mut [u64], src: &[u64], op: impl Fn(u64, u64) -> u64) -> bool {
-            let mut changed = false;
-            for (a, &b) in dst.iter_mut().zip(src) {
-                let new = op(*a, b);
-                changed |= new != *a;
-                *a = new;
-            }
-            changed
-        }
-        let ops: [(&str, fn(u64, u64) -> u64); 4] = [
-            ("union", |a, b| a | b),
-            ("intersect", |a, b| a & b),
-            ("difference", |a, b| a & !b),
-            ("copy", |_, b| b),
-        ];
-        let mut state = 0x0fed_cba9_8765_4321u64;
-        let mut next = move || {
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        };
-        for words in [0usize, 1, 5, 31, 32, 33, 63, 64, 65, 96, 135] {
-            for trial in 0..20 {
-                let src: Vec<u64> = (0..words).map(|_| next()).collect();
-                let base: Vec<u64> = (0..words)
-                    .map(|_| match trial % 4 {
-                        0 => 0,
-                        1 => !0,
-                        _ => next(),
-                    })
-                    .collect();
-                for (name, op) in ops {
-                    let mut expect = base.clone();
-                    let want = reference(&mut expect, &src, op);
-                    let mut got = base.clone();
-                    let flag = zip_rows_changed_tiled(&mut got, &src, op);
-                    assert_eq!(got, expect, "{name}, {words} words, trial {trial}");
-                    assert_eq!(flag, want, "{name} changed flag, {words} words");
-                    // Idempotent re-application reports the reference flag.
-                    let flag2 = zip_rows_changed_tiled(&mut got, &src, op);
-                    let want2 = reference(&mut expect, &src, op);
-                    assert_eq!(got, expect, "{name} idempotent, {words} words");
-                    assert_eq!(flag2, want2, "{name} idempotent flag, {words} words");
                 }
             }
         }

@@ -18,7 +18,7 @@ pub struct SolverDiverged {
     /// ([`Problem::with_name`](crate::Problem::with_name)); `"dataflow"`
     /// when unnamed.
     pub analysis: &'static str,
-    /// The number of sweeps (round-robin) or sweep-equivalents (worklist)
+    /// The number of sweeps (round-robin) or sweep-equivalents (SCC priority)
     /// performed before giving up.
     pub sweeps: usize,
 }

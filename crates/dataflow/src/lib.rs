@@ -15,10 +15,10 @@
 //!   intersection ([`Confluence::Must`]) or union ([`Confluence::May`])
 //!   confluence, plus optional per-edge gen sets (needed by the LATER
 //!   analysis of lazy code motion);
-//! * three solver strategies ([`SolveStrategy`]) — round-robin sweeps, a
-//!   change-driven FIFO worklist, and an SCC-condensed priority worklist
-//!   that drains each strongly connected component to fixpoint before
-//!   advancing — which produce identical fixpoints;
+//! * two solver strategies ([`SolveStrategy`]) — round-robin sweeps and
+//!   an SCC-condensed priority worklist that drains each strongly
+//!   connected component to fixpoint before advancing — which produce
+//!   identical fixpoints;
 //! * [`SolverScratch`] — a reusable solver arena (state matrices, worklist
 //!   deque, in-queue bitmap, change flags) passed to
 //!   [`Problem::solve_with`], giving O(1) amortized heap allocations per
@@ -28,7 +28,8 @@
 //!   across solves (how the fused LCM pipeline runs its four analyses);
 //! * [`SolveStats`] — iteration / visit / revisit / word-operation /
 //!   allocation counters used by the complexity experiments (LCM vs. the
-//!   bidirectional Morel–Renvoise system) and the perf baseline;
+//!   bidirectional Morel–Renvoise system) and the benchmark's
+//!   per-layer counters;
 //! * [`analyses`] — canned variable-level problems (liveness, definite
 //!   assignment) shared across the workspace.
 //!

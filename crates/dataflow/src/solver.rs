@@ -1,6 +1,6 @@
-//! Fixpoint solvers: round-robin over a depth-first ordering, a FIFO
-//! worklist, and an SCC-condensed priority worklist — all running over one
-//! reusable [`SolverScratch`] arena.
+//! Fixpoint solvers: round-robin over a depth-first ordering and an
+//! SCC-condensed priority worklist, both running over one reusable
+//! [`SolverScratch`] arena.
 //!
 //! The monotone gen/kill framework has a unique fixpoint, so every
 //! strategy produces bit-identical [`Solution`]s; they differ only in
@@ -23,15 +23,13 @@ use crate::problem::{Confluence, Direction, Problem, Solution};
 use crate::stats::SolveStats;
 use crate::view::CfgView;
 
-/// Which fixpoint iteration schedule to run. All three reach the same
-/// unique fixpoint; they differ in node revisits and sweep structure.
+/// Which fixpoint iteration schedule to run. Both reach the same unique
+/// fixpoint; they differ in node revisits and sweep structure.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum SolveStrategy {
     /// Whole sweeps over reverse postorder (forward) / postorder
     /// (backward) until a sweep changes nothing.
     RoundRobin,
-    /// Change-driven FIFO worklist seeded in depth-first order.
-    Worklist,
     /// SCC-condensed priority worklist: drain each strongly connected
     /// component of the CFG to its local fixpoint before touching any
     /// component downstream of it. Because the condensation is acyclic,
@@ -43,17 +41,12 @@ pub enum SolveStrategy {
 
 impl SolveStrategy {
     /// All strategies, for equivalence sweeps.
-    pub const ALL: [SolveStrategy; 3] = [
-        SolveStrategy::RoundRobin,
-        SolveStrategy::Worklist,
-        SolveStrategy::SccPriority,
-    ];
+    pub const ALL: [SolveStrategy; 2] = [SolveStrategy::RoundRobin, SolveStrategy::SccPriority];
 
-    /// The CLI / report name: `"rr"`, `"wl"` or `"scc"`.
+    /// The CLI / report name: `"rr"` or `"scc"`.
     pub fn name(&self) -> &'static str {
         match self {
             SolveStrategy::RoundRobin => "rr",
-            SolveStrategy::Worklist => "wl",
             SolveStrategy::SccPriority => "scc",
         }
     }
@@ -65,10 +58,9 @@ impl FromStr for SolveStrategy {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "rr" | "round-robin" => Ok(SolveStrategy::RoundRobin),
-            "wl" | "worklist" => Ok(SolveStrategy::Worklist),
             "scc" | "scc-priority" => Ok(SolveStrategy::SccPriority),
             other => Err(format!(
-                "unknown solver strategy `{other}` (expected rr, wl or scc)"
+                "unknown solver strategy `{other}` (expected rr or scc)"
             )),
         }
     }
@@ -280,7 +272,7 @@ impl Problem<'_> {
             .unwrap_or_else(|| view.retreating_edges() + 4)
     }
 
-    /// The worklist pop budget. The worklist has no sweep structure, so the
+    /// The SCC schedule's pop budget. It has no sweep structure, so the
     /// budget comes from the lattice-height argument instead: under a
     /// monotone transfer each block's output side changes at most
     /// `nbits + 1` times (once per bit plus the first application), and
@@ -288,7 +280,7 @@ impl Problem<'_> {
     /// bounded by `n + (nbits + 2)·(E + 1)` with room to spare. An explicit
     /// [`with_sweep_bound`](Self::with_sweep_bound) of `s` is interpreted as
     /// `s` whole sweeps, i.e. `s · n` pops.
-    fn worklist_bound(&self, view: &CfgView) -> usize {
+    fn pop_bound(&self, view: &CfgView) -> usize {
         match self.sweep_bound {
             Some(s) => s * view.num_blocks().max(1),
             None => view.num_blocks() + (self.nbits + 2) * (view.num_edges() + 1) + 8,
@@ -338,7 +330,6 @@ impl Problem<'_> {
         stats.allocations = scratch.prepare(self, view);
         match strategy {
             SolveStrategy::RoundRobin => self.run_round_robin(view, scratch, &mut stats)?,
-            SolveStrategy::Worklist => self.run_worklist(view, scratch, &mut stats)?,
             SolveStrategy::SccPriority => self.run_scc(view, scratch, &mut stats)?,
         }
         // Exporting the Solution clones the two matrices — the only
@@ -572,66 +563,6 @@ impl Problem<'_> {
         self.try_solve_with(SolveStrategy::RoundRobin, view, &mut SolverScratch::new())
     }
 
-    /// Solves with a FIFO worklist seeded in depth-first order. Produces the
-    /// same fixpoint as [`solve`](Self::solve) (the framework is monotone);
-    /// `stats.node_visits` counts worklist pops and `stats.iterations` is
-    /// left at zero.
-    ///
-    /// Computes a fresh [`CfgView`] and scratch for the function; when
-    /// running several analyses over one CFG, build both once and use
-    /// [`solve_with`](Self::solve_with).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pop budget is exhausted (impossible for a monotone
-    /// problem); [`try_solve_worklist`](Self::try_solve_worklist) reports
-    /// that as a [`SolverDiverged`] instead.
-    pub fn solve_worklist(&self) -> Solution {
-        self.try_solve_worklist().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Checked [`solve_worklist`](Self::solve_worklist).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SolverDiverged`] if the propagation exceeds its pop budget.
-    pub fn try_solve_worklist(&self) -> Result<Solution, SolverDiverged> {
-        self.try_solve_worklist_in(&CfgView::new(self.fun))
-    }
-
-    /// Like [`solve_worklist`](Self::solve_worklist), but reuses a
-    /// precomputed [`CfgView`].
-    ///
-    /// Propagation is change-driven: a block's dependents (successors for
-    /// forward problems, predecessors for backward ones) are re-enqueued
-    /// only when its output side actually changed, detected word-granularly
-    /// by [`copy_row_changed`], and a popped block whose meet is unchanged
-    /// skips its transfer entirely.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `view` was built for a different-shaped function, or if
-    /// the pop budget is exhausted.
-    pub fn solve_worklist_in(&self, view: &CfgView) -> Solution {
-        self.try_solve_worklist_in(view)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Checked [`solve_worklist_in`](Self::solve_worklist_in).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SolverDiverged`] if the propagation exceeds its pop budget
-    /// (reported in sweep-equivalents: pops divided by the block count).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `view` was built for a different-shaped function (that is
-    /// a structural misuse of the API, not a data-dependent failure).
-    pub fn try_solve_worklist_in(&self, view: &CfgView) -> Result<Solution, SolverDiverged> {
-        self.try_solve_with(SolveStrategy::Worklist, view, &mut SolverScratch::new())
-    }
-
     fn run_round_robin(
         &self,
         view: &CfgView,
@@ -657,48 +588,6 @@ impl Problem<'_> {
             }
             if !changed {
                 break;
-            }
-        }
-        Ok(())
-    }
-
-    fn run_worklist(
-        &self,
-        view: &CfgView,
-        scratch: &mut SolverScratch,
-        stats: &mut SolveStats,
-    ) -> Result<(), SolverDiverged> {
-        let order = match self.direction {
-            Direction::Forward => view.rpo(),
-            Direction::Backward => view.postorder(),
-        };
-        let bound = self.worklist_bound(view);
-        let mut pops = 0usize;
-        for &b in order {
-            scratch.queued[b.index()] = true;
-            scratch.queue.push_back(b);
-        }
-        while let Some(b) = scratch.queue.pop_front() {
-            pops += 1;
-            if pops > bound {
-                return Err(SolverDiverged {
-                    analysis: self.name,
-                    sweeps: bound / self.fun.num_blocks().max(1),
-                });
-            }
-            scratch.queued[b.index()] = false;
-            if self.update(view, scratch, stats, b) {
-                // Push the blocks whose input depends on b.
-                let dependents: &[BlockId] = match self.direction {
-                    Direction::Forward => view.succs(b),
-                    Direction::Backward => view.preds(b),
-                };
-                for &d in dependents {
-                    if !scratch.queued[d.index()] {
-                        scratch.queued[d.index()] = true;
-                        scratch.queue.push_back(d);
-                    }
-                }
             }
         }
         Ok(())
@@ -730,7 +619,7 @@ impl Problem<'_> {
         stats: &mut SolveStats,
         keep: impl Fn(usize) -> bool,
     ) -> Result<(), SolverDiverged> {
-        let bound = self.worklist_bound(view);
+        let bound = self.pop_bound(view);
         let mut pops = 0usize;
         let n_sccs = view.num_sccs();
         let mut component = |s: usize| -> Result<(), SolverDiverged> {
@@ -1066,8 +955,6 @@ mod tests {
         let s = p.solve();
         assert!(s.ins.contains(l.index(), 0));
         assert!(!s.ins.contains(j.index(), 0));
-        let s2 = p.solve_worklist();
-        assert_eq!(s.ins, s2.ins);
         let view = CfgView::new(&f);
         let s3 = p.solve_with(SolveStrategy::SccPriority, &view, &mut SolverScratch::new());
         assert_eq!(s.ins, s3.ins);
@@ -1111,18 +998,19 @@ mod tests {
                 let shared = p.solve_in(&view);
                 assert_eq!(fresh.ins, shared.ins);
                 assert_eq!(fresh.outs, shared.outs);
-                let wl = p.solve_worklist_in(&view);
-                assert_eq!(fresh.ins, wl.ins);
-                assert_eq!(fresh.outs, wl.outs);
+                let scc =
+                    p.solve_with(SolveStrategy::SccPriority, &view, &mut SolverScratch::new());
+                assert_eq!(fresh.ins, scc.ins);
+                assert_eq!(fresh.outs, scc.outs);
             }
         }
     }
 
     #[test]
-    fn worklist_skips_unchanged_blocks() {
+    fn scc_priority_skips_unchanged_blocks() {
         // A long chain: the round-robin solver revisits every block each
-        // sweep, while the change-driven worklist visits each block only as
-        // its input actually changes — strictly fewer (or equal) visits.
+        // sweep, while the change-driven SCC schedule visits each block only
+        // as its input actually changes — strictly fewer (or equal) visits.
         let mut text = String::from("fn chain {\n entry:\n jmp b0\n");
         for i in 0..20 {
             text.push_str(&format!(" b{i}:\n jmp b{}\n", i + 1));
@@ -1133,24 +1021,27 @@ mod tests {
         transfer[f.entry().index()].gen.insert(0);
         let p = Problem::new(&f, 2, Direction::Forward, Confluence::May, transfer);
         let rr = p.solve();
-        let wl = p.solve_worklist();
-        assert_eq!(rr.ins, wl.ins);
+        let scc = p.solve_with(
+            SolveStrategy::SccPriority,
+            &CfgView::new(&f),
+            &mut SolverScratch::new(),
+        );
+        assert_eq!(rr.ins, scc.ins);
         assert!(
-            wl.stats.node_visits <= rr.stats.node_visits,
-            "worklist {} vs round-robin {}",
-            wl.stats.node_visits,
+            scc.stats.node_visits <= rr.stats.node_visits,
+            "scc {} vs round-robin {}",
+            scc.stats.node_visits,
             rr.stats.node_visits
         );
-        assert!(wl.stats.word_ops <= rr.stats.word_ops);
+        assert!(scc.stats.word_ops <= rr.stats.word_ops);
     }
 
     #[test]
     fn scc_priority_cuts_revisits_on_loops() {
-        // A tight loop feeding a long chain. The plain FIFO worklist
-        // interleaves loop convergence with chain propagation, so the
-        // chain is flushed with stale values and revisited; the SCC
-        // schedule drains the loop to fixpoint first and then sweeps the
-        // chain exactly once.
+        // A tight loop feeding a long chain. Round-robin re-sweeps the
+        // whole chain until the loop settles, so the chain is revisited;
+        // the SCC schedule drains the loop to fixpoint first and then
+        // sweeps the chain exactly once.
         let mut text = String::from(
             "fn lc {\n entry:\n jmp head\n head:\n br c, body, b0\n body:\n jmp head\n",
         );
@@ -1167,18 +1058,15 @@ mod tests {
         let view = CfgView::new(&f);
         let mut scratch = SolverScratch::new();
         let rr = p.solve_with(SolveStrategy::RoundRobin, &view, &mut scratch);
-        let wl = p.solve_with(SolveStrategy::Worklist, &view, &mut scratch);
         let scc = p.solve_with(SolveStrategy::SccPriority, &view, &mut scratch);
-        assert_eq!(rr.ins, wl.ins);
         assert_eq!(rr.ins, scc.ins);
         assert_eq!(rr.outs, scc.outs);
         assert!(
-            scc.stats.node_revisits < wl.stats.node_revisits,
-            "scc {} vs worklist {} revisits",
+            scc.stats.node_revisits < rr.stats.node_revisits,
+            "scc {} vs round-robin {} revisits",
             scc.stats.node_revisits,
-            wl.stats.node_revisits
+            rr.stats.node_revisits
         );
-        assert!(scc.stats.node_revisits < rr.stats.node_revisits);
     }
 
     #[test]
@@ -1559,28 +1447,31 @@ mod tests {
         assert_eq!(err.analysis, "tight");
         assert_eq!(err.sweeps, 1);
         assert!(err.to_string().contains("tight"));
-        let err = p.try_solve_worklist().unwrap_err();
-        assert_eq!(err.analysis, "tight");
         let view = CfgView::new(&f);
         let err = p
             .try_solve_with(SolveStrategy::SccPriority, &view, &mut SolverScratch::new())
             .unwrap_err();
         assert_eq!(err.analysis, "tight");
+        // The SCC schedule's budget is `s` sweeps' worth of pops, reported
+        // back in sweeps.
+        assert_eq!(err.sweeps, 1);
     }
 
     #[test]
     fn derived_bound_is_generous_enough() {
         // The default budget must never fire on an honest monotone problem,
-        // even around loops; and the solution must match the worklist's.
+        // even around loops; and the solution must match the SCC schedule's.
         let f = loop_fn();
         let body = f.block_by_name("body").unwrap();
         let mut transfer = vec![Transfer::identity(2); f.num_blocks()];
         transfer[body.index()].gen.insert(0);
         let p = Problem::new(&f, 2, Direction::Forward, Confluence::May, transfer);
         let rr = p.try_solve().unwrap();
-        let wl = p.try_solve_worklist().unwrap();
-        assert_eq!(rr.ins, wl.ins);
         let view = CfgView::new(&f);
+        let scc = p
+            .try_solve_with(SolveStrategy::SccPriority, &view, &mut SolverScratch::new())
+            .unwrap();
+        assert_eq!(rr.ins, scc.ins);
         assert!((rr.stats.iterations as usize) <= view.retreating_edges() + 4);
     }
 

@@ -16,8 +16,8 @@ use std::ops::AddAssign;
 /// [`SolverScratch`](crate::SolverScratch) is reused across solves).
 #[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
 pub struct SolveStats {
-    /// Full sweeps over the block order (round-robin solver) or `1` for
-    /// worklist solving.
+    /// Full sweeps over the block order (round-robin solver); `0` for the
+    /// SCC-priority schedule, which has no sweeps.
     pub iterations: usize,
     /// Individual block evaluations (confluence + transfer applications).
     pub node_visits: usize,

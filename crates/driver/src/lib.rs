@@ -1240,7 +1240,8 @@ fn optimize_unit(
     // Allocation counts measure scratch temperature — which worker's arena
     // the function happened to land on — not the function itself, so they
     // are scrubbed from the recorded stats to keep batch reports identical
-    // for every thread count. `experiments bench` measures them directly.
+    // for every thread count. The benchmark reports them per unit as
+    // `dataflow.allocations`.
     let mut pipeline = opt.pipeline_stats.unwrap_or_default();
     pipeline.avail.allocations = 0;
     pipeline.antic.allocations = 0;

@@ -31,9 +31,9 @@
 //!                        alcm-node, morel-renvoise, gcse.
 //!   -e, --emit KIND      output: text (default), dot, stats, none
 //!       --solver S       fixpoint solver for the fused LCM pipeline:
-//!                        rr (round-robin), wl (worklist), scc
-//!                        (SCC-priority, default). Same fixpoints either
-//!                        way; only the cost counters differ.
+//!                        rr (round-robin) or scc (SCC-priority, default).
+//!                        Same fixpoints either way; only the cost
+//!                        counters differ.
 //!       --validate[=L]   validation tier for PRE passes: off, fast
 //!                        (default; static invariant checks) or full
 //!                        (adds seeded differential execution)
@@ -125,7 +125,7 @@ impl Failure {
 fn usage() -> &'static str {
     "usage: lcmopt [-p|--passes LIST] [--placement lcm|bcm|spec] \
      [-e|--emit text|dot|stats|none] \
-     [--solver rr|wl|scc] [--validate[=off|fast|full]] [--run KEY=VAL]... \
+     [--solver rr|scc] [--validate[=off|fast|full]] [--run KEY=VAL]... \
      [--fuel N] [--compare] [FILE|-]\n\
      \x20      lcmopt batch [OPTIONS] <PATH|->   (see `lcmopt batch --help`)\n\
      \x20      lcmopt lift [OPTIONS] <FILE|->    (see `lcmopt lift --help`)\n\
@@ -187,12 +187,7 @@ fn parse_args() -> Result<Option<Options>, Failure> {
                     return Err(usage_err(format!("unknown emit kind `{}`", opts.emit)));
                 }
             }
-            "--solver" => {
-                let v = args
-                    .next()
-                    .ok_or_else(|| usage_err("--solver needs rr|wl|scc".into()))?;
-                opts.solver = v.parse().map_err(|e: String| usage_err(e))?;
-            }
+            "--solver" => opts.solver = parse_solver(args.next()).map_err(usage_err)?,
             "--validate" => opts.validate = ValidationLevel::Fast,
             "--run" => {
                 let kv = args
@@ -246,6 +241,32 @@ fn parse_placement(v: &str) -> Result<PreAlgorithm, String> {
     }
 }
 
+/// Maps a `--solver` argument (`None` when it is missing) to the fixpoint
+/// schedule it selects.
+fn parse_solver(v: Option<String>) -> Result<SolveStrategy, String> {
+    v.ok_or_else(|| "--solver needs rr|scc".to_string())?
+        .parse()
+}
+
+/// The most threads `batch --jobs` or `serve --workers` may ask for. Both
+/// spawn their threads up front, so a typo such as `--workers 100000`
+/// would exhaust the host's process ids instead of failing as a usage
+/// error.
+const MAX_THREADS: usize = 1024;
+
+/// Parses a `--jobs` / `--workers` count (`what` names it in the
+/// diagnostic): 0 means all available cores, anything above
+/// [`MAX_THREADS`] is refused.
+fn parse_thread_count(what: &str, n: &str) -> Result<usize, String> {
+    match n.parse() {
+        Ok(k) if k <= MAX_THREADS => Ok(k),
+        Ok(_) => Err(format!(
+            "{what} count `{n}` exceeds the limit of {MAX_THREADS} threads"
+        )),
+        Err(_) => Err(format!("bad {what} count `{n}`")),
+    }
+}
+
 /// Options for `lcmopt batch`.
 struct BatchCli {
     path: String,
@@ -261,7 +282,7 @@ struct BatchCli {
 
 fn batch_usage() -> &'static str {
     "usage: lcmopt batch [-j|--jobs N] [--placement lcm|bcm|spec] \
-     [--solver rr|wl|scc] [--cache on|off] \
+     [--solver rr|scc] [--cache on|off] \
      [--cache-cap N] [--cache-file PATH] \
      [-e|--emit text|dot|stats|json|none] \
      [--validate[=off|fast|full]] <PATH|->\n\
@@ -300,9 +321,7 @@ fn parse_batch_args(mut args: impl Iterator<Item = String>) -> Result<Option<Bat
                 let n = args
                     .next()
                     .ok_or_else(|| usage_err("--jobs needs an argument".into()))?;
-                opts.jobs = n
-                    .parse()
-                    .map_err(|_| usage_err(format!("bad job count `{n}`")))?;
+                opts.jobs = parse_thread_count("job", &n).map_err(usage_err)?;
             }
             "--placement" => {
                 let v = args
@@ -310,12 +329,7 @@ fn parse_batch_args(mut args: impl Iterator<Item = String>) -> Result<Option<Bat
                     .ok_or_else(|| usage_err("--placement needs lcm|bcm|spec".into()))?;
                 opts.placement = parse_placement(&v).map_err(usage_err)?;
             }
-            "--solver" => {
-                let v = args
-                    .next()
-                    .ok_or_else(|| usage_err("--solver needs rr|wl|scc".into()))?;
-                opts.solver = v.parse().map_err(|e: String| usage_err(e))?;
-            }
+            "--solver" => opts.solver = parse_solver(args.next()).map_err(usage_err)?,
             "--cache" => {
                 let v = args
                     .next()
@@ -573,7 +587,7 @@ struct ServeCli {
 fn serve_usage() -> &'static str {
     "usage: lcmopt serve [--socket PATH] [--cache-file PATH] [--workers N] \
      [--queue-cap N] [--retry-after-ms N] [--placement lcm|bcm|spec] \
-     [--solver rr|wl|scc] [--cache on|off] [--cache-cap N] \
+     [--solver rr|scc] [--cache on|off] [--cache-cap N] \
      [--validate[=off|fast|full]]\n\
      Runs the optimization daemon: worker threads keep warm solver arenas \
      across requests and share one plan cache.\n\
@@ -623,9 +637,7 @@ fn parse_serve_args(mut args: impl Iterator<Item = String>) -> Result<Option<Ser
                 let n = args
                     .next()
                     .ok_or_else(|| usage_err("--workers needs an argument".into()))?;
-                opts.workers = n
-                    .parse()
-                    .map_err(|_| usage_err(format!("bad worker count `{n}`")))?;
+                opts.workers = parse_thread_count("worker", &n).map_err(usage_err)?;
             }
             "--queue-cap" => {
                 let n = args
@@ -649,12 +661,7 @@ fn parse_serve_args(mut args: impl Iterator<Item = String>) -> Result<Option<Ser
                     .ok_or_else(|| usage_err("--placement needs lcm|bcm|spec".into()))?;
                 opts.placement = parse_placement(&v).map_err(usage_err)?;
             }
-            "--solver" => {
-                let v = args
-                    .next()
-                    .ok_or_else(|| usage_err("--solver needs rr|wl|scc".into()))?;
-                opts.solver = v.parse().map_err(|e: String| usage_err(e))?;
-            }
+            "--solver" => opts.solver = parse_solver(args.next()).map_err(usage_err)?,
             "--cache" => {
                 let v = args
                     .next()
@@ -960,7 +967,7 @@ struct WatchCli {
 
 fn watch_usage() -> &'static str {
     "usage: lcmopt watch [--interval-ms N] [--iterations N] [-o|--output \
-     PATH] [--placement lcm|bcm|spec] [--solver rr|wl|scc] \
+     PATH] [--placement lcm|bcm|spec] [--solver rr|scc] \
      [--validate[=off|fast|full]] <FILE>\n\
      Optimizes the module in FILE, then polls it and re-optimizes on every \
      change. Each function's AVAIL/ANTIC/LATER fixpoints are retained \
@@ -1023,12 +1030,7 @@ fn parse_watch_args(mut args: impl Iterator<Item = String>) -> Result<Option<Wat
                     .ok_or_else(|| usage_err("--placement needs lcm|bcm|spec".into()))?;
                 opts.placement = parse_placement(&v).map_err(usage_err)?;
             }
-            "--solver" => {
-                let v = args
-                    .next()
-                    .ok_or_else(|| usage_err("--solver needs rr|wl|scc".into()))?;
-                opts.solver = v.parse().map_err(|e: String| usage_err(e))?;
-            }
+            "--solver" => opts.solver = parse_solver(args.next()).map_err(usage_err)?,
             "--validate" => opts.validate = ValidationLevel::Fast,
             other if other.starts_with("--validate=") => {
                 let level = &other["--validate=".len()..];
@@ -1591,5 +1593,42 @@ fn main() -> ExitCode {
             ExitCode::from(failure.code)
         }
         Err(_) => ExitCode::from(EXIT_PANIC),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn thread_counts_above_the_ceiling_are_refused() {
+        assert_eq!(parse_thread_count("job", "0"), Ok(0));
+        assert_eq!(parse_thread_count("job", "4"), Ok(4));
+        assert_eq!(parse_thread_count("worker", "1024"), Ok(MAX_THREADS));
+        for n in ["1025", "100000", &usize::MAX.to_string()] {
+            let e = parse_thread_count("worker", n).unwrap_err();
+            assert!(e.contains("exceeds the limit of 1024"), "{e}");
+        }
+        assert_eq!(
+            parse_thread_count("job", "-1"),
+            Err("bad job count `-1`".to_string())
+        );
+        assert!(parse_thread_count("worker", "many").is_err());
+    }
+
+    #[test]
+    fn excessive_thread_counts_are_usage_errors() {
+        // The arguments are only parsed: nothing is spawned.
+        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let e = parse_batch_args(args(&["--jobs", "100000", "m.lcm"]).into_iter())
+            .err()
+            .unwrap();
+        assert_eq!(e.code, EXIT_USAGE);
+        assert!(e.message.starts_with("job count `100000` exceeds"));
+        let e = parse_serve_args(args(&["--workers", "5000"]).into_iter())
+            .err()
+            .unwrap();
+        assert_eq!(e.code, EXIT_USAGE);
+        assert!(e.message.starts_with("worker count `5000` exceeds"));
     }
 }

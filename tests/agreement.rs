@@ -117,7 +117,9 @@ fn alcm_plus_cleanup_matches_lcm_counts() {
 /// analyses over real (generated) programs, not just toy fixtures.
 #[test]
 fn solver_strategies_agree_on_real_analyses() {
-    use lcm::dataflow::{Confluence, Direction, Problem, Transfer};
+    use lcm::dataflow::{
+        CfgView, Confluence, Direction, Problem, SolveStrategy, SolverScratch, Transfer,
+    };
     let opts = GenOptions::sized(40);
     for f in corpus(0xE55, 20, &opts) {
         let uni = ExprUniverse::of(&f);
@@ -137,7 +139,11 @@ fn solver_strategies_agree_on_real_analyses() {
                     .collect();
                 let p = Problem::new(&f, uni.len(), dir, conf, transfer);
                 let a = p.solve();
-                let b = p.solve_worklist();
+                let b = p.solve_with(
+                    SolveStrategy::SccPriority,
+                    &CfgView::new(&f),
+                    &mut SolverScratch::new(),
+                );
                 assert_eq!(a.ins, b.ins, "{} {dir:?} {conf:?}", f.name);
                 assert_eq!(a.outs, b.outs, "{} {dir:?} {conf:?}", f.name);
             }

@@ -191,6 +191,14 @@ fn emit_dot_renders_one_digraph_per_function() {
 fn unknown_flag_exits_2() {
     let (code, _, stderr) = batch(&["--no-such-flag"], "");
     assert_eq!(code, 2, "{stderr}");
+    // `wl` is not a solver: the diagnostic names the two that are.
+    let (code, _, stderr) = batch(&["--solver", "wl", "-"], "");
+    assert_eq!(code, 2, "{stderr}");
+    let first = stderr.lines().next().unwrap_or_default();
+    assert!(
+        first.contains("`wl`") && first.contains("rr or scc"),
+        "{stderr}"
+    );
 }
 
 #[test]

@@ -1,10 +1,10 @@
-//! Solver equivalence: the round-robin solver, the worklist solver, and
-//! the fused pipeline (shared `CfgView` + worklist) reach bit-identical
+//! Solver equivalence: the round-robin solver, the SCC-priority solver,
+//! and the fused pipeline (shared `CfgView` + SCC priority) reach bit-identical
 //! fixpoints for every analysis, on every function of the generator
 //! corpus — and therefore identical insert/delete placements.
 //!
-//! This is the safety net under the fused `lcm_with` path: the worklist
-//! strategy and the shared orderings are pure cost optimisations, never
+//! This is the safety net under the fused `lcm_with` path: the SCC
+//! schedule and the shared orderings are pure cost optimisations, never
 //! allowed to change an answer.
 
 use lcm::cfggen::{arbitrary, corpus, random_dag, shapes, GenOptions};
@@ -37,6 +37,8 @@ fn test_corpus() -> Vec<Function> {
 
 #[test]
 fn all_solvers_reach_the_same_fixpoint_for_every_analysis() {
+    // One scratch held across every solve, as the fused pipeline does.
+    let mut scratch = SolverScratch::new();
     for f in test_corpus() {
         let uni = ExprUniverse::of(&f);
         let local = LocalPredicates::compute(&f, &uni);
@@ -48,10 +50,14 @@ fn all_solvers_reach_the_same_fixpoint_for_every_analysis() {
             ("later", later_problem(&f, &uni, &local, &ga)),
         ] {
             let rr = p.solve();
-            let wl = p.solve_worklist();
-            let fused = p.solve_worklist_in(&view);
-            assert_eq!(rr.ins, wl.ins, "{name} ins differ on {}", f.name);
-            assert_eq!(rr.outs, wl.outs, "{name} outs differ on {}", f.name);
+            let scc = p.solve_with(
+                SolveStrategy::SccPriority,
+                &CfgView::new(&f),
+                &mut SolverScratch::new(),
+            );
+            let fused = p.solve_with(SolveStrategy::SccPriority, &view, &mut scratch);
+            assert_eq!(rr.ins, scc.ins, "{name} ins differ on {}", f.name);
+            assert_eq!(rr.outs, scc.outs, "{name} outs differ on {}", f.name);
             assert_eq!(rr.ins, fused.ins, "{name} fused ins differ on {}", f.name);
             assert_eq!(
                 rr.outs, fused.outs,
@@ -70,7 +76,7 @@ fn fused_pipeline_placement_is_bit_identical_to_the_seed_path() {
         let local = LocalPredicates::compute(&f, &uni);
         let ga = GlobalAnalyses::compute(&f, &uni, &local).unwrap();
         let lazy = lazy_edge_plan(&f, &uni, &local, &ga).unwrap();
-        // Fused path: shared view, worklist solver.
+        // Fused path: shared view, SCC-priority solver.
         let p = fused(&f).unwrap();
         assert_eq!(p.analyses.avail.ins, ga.avail.ins, "{}", f.name);
         assert_eq!(p.analyses.avail.outs, ga.avail.outs, "{}", f.name);

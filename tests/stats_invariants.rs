@@ -1,5 +1,5 @@
-//! Invariants of the solver cost counters ([`SolveStats`]): the worklist
-//! solver never visits more nodes than the round-robin solver, the fused
+//! Invariants of the solver cost counters ([`SolveStats`]): the SCC-priority
+//! worklist never visits more nodes than the round-robin solver, the fused
 //! pipeline's counters are non-trivial, and the report's total row is the
 //! exact sum of the per-analysis rows.
 
@@ -8,7 +8,7 @@ use lcm::core::{
     anticipability_problem, availability_problem, later_problem, lcm_with, report, ExprUniverse,
     GlobalAnalyses, LcmPipeline, LocalPredicates,
 };
-use lcm::dataflow::{SolveStrategy, SolverDiverged, SolverScratch};
+use lcm::dataflow::{CfgView, SolveStrategy, SolverDiverged, SolverScratch};
 use lcm::ir::Function;
 
 /// The fused pipeline on the default solver.
@@ -35,21 +35,25 @@ fn worklist_never_visits_more_nodes_than_round_robin() {
             ("later", later_problem(&f, &uni, &local, &ga)),
         ] {
             let rr = p.solve();
-            let wl = p.solve_worklist();
+            let scc = p.solve_with(
+                SolveStrategy::SccPriority,
+                &CfgView::new(&f),
+                &mut SolverScratch::new(),
+            );
             assert!(
-                wl.stats.node_visits <= rr.stats.node_visits,
-                "{name} on {}: worklist {} visits > round-robin {}",
+                scc.stats.node_visits <= rr.stats.node_visits,
+                "{name} on {}: scc {} visits > round-robin {}",
                 f.name,
-                wl.stats.node_visits,
+                scc.stats.node_visits,
                 rr.stats.node_visits
             );
             // Round-robin always needs a final no-change sweep; the
-            // worklist strategy reports pops instead of sweeps.
+            // SCC schedule reports pops instead of sweeps.
             assert!(rr.stats.iterations >= 1, "{name} on {}", f.name);
-            assert_eq!(wl.stats.iterations, 0, "{name} on {}", f.name);
+            assert_eq!(scc.stats.iterations, 0, "{name} on {}", f.name);
             // Both visit at least every reachable block once.
             assert!(
-                wl.stats.node_visits >= f.num_blocks(),
+                scc.stats.node_visits >= f.num_blocks(),
                 "{name} on {}",
                 f.name
             );
@@ -109,7 +113,7 @@ fn pipeline_totals_are_the_sum_of_the_analyses() {
 
 #[test]
 fn fused_pipeline_is_cheaper_than_the_seed_path_in_aggregate() {
-    // Per-function the worklist can tie the round-robin cost on tiny
+    // Per-function the SCC schedule can tie the round-robin cost on tiny
     // graphs, but over a corpus the change-driven strategy must win on
     // both counters.
     let mut rr_visits = 0usize;

@@ -1,5 +1,5 @@
-//! Strategy-equivalence property suite: the round-robin, plain-worklist
-//! and SCC-priority solvers reach **bit-identical** `Solution`s for every
+//! Strategy-equivalence property suite: the round-robin and SCC-priority
+//! solvers reach **bit-identical** `Solution`s for every
 //! analysis — and therefore identical insert/delete placements — across a
 //! seeded corpus of 500+ random control-flow graphs: structured reducible
 //! programs (loopy and loop-free), free-form possibly-irreducible CFGs,
@@ -32,7 +32,7 @@ fn big_corpus() -> Vec<Function> {
 }
 
 #[test]
-fn all_three_strategies_produce_bit_identical_solutions() {
+fn every_strategy_produces_bit_identical_solutions() {
     let mut scratch = SolverScratch::new();
     for f in big_corpus() {
         let uni = ExprUniverse::of(&f);
@@ -45,73 +45,53 @@ fn all_three_strategies_produce_bit_identical_solutions() {
             ("later", later_problem(&f, &uni, &local, &ga)),
         ] {
             let baseline = p.solve_with(SolveStrategy::RoundRobin, &view, &mut scratch);
-            for strategy in [SolveStrategy::Worklist, SolveStrategy::SccPriority] {
-                let other = p.solve_with(strategy, &view, &mut scratch);
-                assert_eq!(
-                    baseline.ins,
-                    other.ins,
-                    "{name} ins: {} vs rr on {}",
-                    strategy.name(),
-                    f.name
-                );
-                assert_eq!(
-                    baseline.outs,
-                    other.outs,
-                    "{name} outs: {} vs rr on {}",
-                    strategy.name(),
-                    f.name
-                );
-            }
+            let scc = p.solve_with(SolveStrategy::SccPriority, &view, &mut scratch);
+            assert_eq!(baseline.ins, scc.ins, "{name} ins: scc vs rr on {}", f.name);
+            assert_eq!(
+                baseline.outs, scc.outs,
+                "{name} outs: scc vs rr on {}",
+                f.name
+            );
         }
     }
 }
 
 #[test]
-fn all_three_strategies_produce_identical_placements() {
+fn every_strategy_produces_identical_placements() {
     let mut scratch = SolverScratch::new();
     for f in big_corpus().into_iter().step_by(3) {
         let baseline = lcm_with(&f, SolveStrategy::RoundRobin, &mut scratch).unwrap();
-        for strategy in [SolveStrategy::Worklist, SolveStrategy::SccPriority] {
-            let other = lcm_with(&f, strategy, &mut scratch).unwrap();
-            assert_eq!(
-                baseline.lazy.laterin,
-                other.lazy.laterin,
-                "laterin: {} on {}",
-                strategy.name(),
-                f.name
-            );
-            assert_eq!(
-                baseline.lazy.plan.edge_inserts,
-                other.lazy.plan.edge_inserts,
-                "edge inserts: {} on {}",
-                strategy.name(),
-                f.name
-            );
-            assert_eq!(
-                baseline.lazy.plan.entry_insert,
-                other.lazy.plan.entry_insert,
-                "entry insert: {} on {}",
-                strategy.name(),
-                f.name
-            );
-            assert_eq!(
-                baseline.lazy.delete,
-                other.lazy.delete,
-                "delete: {} on {}",
-                strategy.name(),
-                f.name
-            );
-        }
+        let scc = lcm_with(&f, SolveStrategy::SccPriority, &mut scratch).unwrap();
+        assert_eq!(
+            baseline.lazy.laterin, scc.lazy.laterin,
+            "laterin on {}",
+            f.name
+        );
+        assert_eq!(
+            baseline.lazy.plan.edge_inserts, scc.lazy.plan.edge_inserts,
+            "edge inserts on {}",
+            f.name
+        );
+        assert_eq!(
+            baseline.lazy.plan.entry_insert, scc.lazy.plan.entry_insert,
+            "entry insert on {}",
+            f.name
+        );
+        assert_eq!(
+            baseline.lazy.delete, scc.lazy.delete,
+            "delete on {}",
+            f.name
+        );
     }
 }
 
 #[test]
-fn scc_priority_beats_plain_worklist_revisits_on_the_loopy_corpus() {
-    // Loop-free graphs tie (both strategies visit each block ~once); on the
-    // loopy part of the corpus the SCC drain must reduce scheduling waste
-    // in aggregate, and never lose.
+fn scc_priority_beats_round_robin_revisits_on_the_loopy_corpus() {
+    // On the loopy part of the corpus round-robin re-sweeps every block
+    // until nothing changes, while the SCC drain revisits only inside the
+    // loops: it must reduce scheduling waste per function, and never lose.
     let mut scratch = SolverScratch::new();
-    let mut wl_revisits = 0usize;
+    let mut rr_revisits = 0usize;
     let mut scc_revisits = 0usize;
     for f in big_corpus() {
         let view = CfgView::new(&f);
@@ -121,17 +101,20 @@ fn scc_priority_beats_plain_worklist_revisits_on_the_loopy_corpus() {
         let uni = ExprUniverse::of(&f);
         let local = LocalPredicates::compute(&f, &uni);
         let p = availability_problem(&f, &uni, &local);
-        wl_revisits += p
-            .solve_with(SolveStrategy::Worklist, &view, &mut scratch)
+        let rr = p
+            .solve_with(SolveStrategy::RoundRobin, &view, &mut scratch)
             .stats
             .node_revisits;
-        scc_revisits += p
+        let scc = p
             .solve_with(SolveStrategy::SccPriority, &view, &mut scratch)
             .stats
             .node_revisits;
+        assert!(scc <= rr, "{}: scc {scc} revisits > rr {rr}", f.name);
+        rr_revisits += rr;
+        scc_revisits += scc;
     }
     assert!(
-        scc_revisits < wl_revisits,
-        "SCC-priority revisits {scc_revisits} not below worklist {wl_revisits}"
+        scc_revisits < rr_revisits,
+        "SCC-priority revisits {scc_revisits} not below round-robin {rr_revisits}"
     );
 }

@@ -6,7 +6,7 @@
 //! a *mapped* delta on a recognized one-block shape edit, and a zero-dirty
 //! memo replay for functions the revision didn't touch at all.
 
-use lcm::cfggen::{corpus, synthetic_profile, GenOptions};
+use lcm::cfggen::{corpus, mutate_function, seeded, synthetic_profile, GenOptions};
 use lcm::core::{PreAlgorithm, ValidationLevel};
 use lcm::driver::{report, BatchEngine, BatchOptions, EditClassCounters, IncrementalMode};
 use lcm::ir::{parse_module, Module};
@@ -48,19 +48,54 @@ fn rev2() -> String {
     rev1().replace("r:\n  jmp join", "r:\n  jmp detour\ndetour:\n  jmp join")
 }
 
+/// A watch-shaped edit stream: a module of generated functions where each
+/// revision applies one seeded content edit to one function, so the warm
+/// engine delta-solves that function and replays the rest from its memo.
+fn seeded_revisions() -> Vec<Module> {
+    let mut fns = corpus(0x1BC8, 6, &GenOptions::sized(60));
+    for (i, f) in fns.iter_mut().enumerate() {
+        f.name = format!("f{i}");
+    }
+    let module_of = |fns: &[lcm::ir::Function]| {
+        let mut m = Module::default();
+        for f in fns {
+            m.push(f.clone()).expect("unique names");
+        }
+        m
+    };
+    let mut rng = seeded(0x1BC9);
+    let mut revisions = vec![module_of(&fns)];
+    for r in 0..12 {
+        mutate_function(&mut fns[r % 6], &mut rng, 0.0);
+        revisions.push(module_of(&fns));
+    }
+    revisions
+}
+
 #[test]
 fn watched_revisions_match_one_shot_batches_byte_for_byte() {
+    let scripted = [REV0.to_string(), rev1(), rev2()]
+        .iter()
+        .map(|text| parse_module(text).expect("revision parses"))
+        .collect::<Vec<_>>();
+    for revisions in [scripted, seeded_revisions()] {
+        check_against_one_shot(&revisions);
+    }
+}
+
+/// Runs `revisions` through one warm watch engine and compares every
+/// answer with a cold one-shot batch of the same revision.
+fn check_against_one_shot(revisions: &[Module]) {
     let mut watch = BatchEngine::new(BatchOptions::default());
-    for (i, text) in [REV0.to_string(), rev1(), rev2()].iter().enumerate() {
-        let m = parse_module(text).expect("revision parses");
-        let units = watch.run_module_incremental(&m);
+    for (i, m) in revisions.iter().enumerate() {
+        let units = watch.run_module_incremental(m);
         // The reference engine is cold and cache-less every revision: the
         // purest one-shot answer there is.
         let mut fresh = BatchEngine::new(BatchOptions {
             use_cache: false,
             ..BatchOptions::default()
         });
-        let want = report::render_text(&fresh.run_module(&m));
+        let want = report::render_text(&fresh.run_module(m));
         assert_eq!(
             report::render_incremental_text(&units),
             want,
