@@ -233,10 +233,13 @@ wait "$SERVE_PID"
 # The traced run re-composes the pipeline from public calls and aborts
 # unless its output is byte-identical to the real pipeline's; it also
 # drives the speculative, persist and revalidate probes. Each run's last
-# stdout line is its result object: it must report `correct` and at least
-# one attempted operation. lcmbench prints `attempted` as at least 1, so
-# a positive `fn_per_s` (untraced) or `trace.op_ms` (traced) is what shows
-# that operations actually ran.
+# stdout line is its result object: it must report `correct`, no failed
+# operation and at least one attempted. lcmbench prints `attempted` as at
+# least 1, so a positive `fn_per_s` (untraced) or `trace.op_ms` (traced) is
+# what shows that operations actually ran. An untraced run must report
+# every `end_to_end` metric BENCHMARK.json declares and a traced run every
+# `per_layer` one, and tracing must cost under half of a traced operation
+# (`trace.overhead_ratio` < 0.5).
 echo "==> lcmbench smoke: batch-cold and watch-edit, 2 s each, --trace 0 and 1"
 for workload in batch-cold watch-edit; do
   for trace in 0 1; do
@@ -246,9 +249,17 @@ for workload in batch-cold watch-edit; do
     tail -n 1 "$out" | python3 -c '
 import json, sys
 r = json.load(sys.stdin)
-ran = "trace.op_ms" if sys.argv[1] == "1" else "fn_per_s"
+traced = sys.argv[1] == "1"
+with open("BENCHMARK.json") as f:
+    declared = json.load(f)["per_layer" if traced else "end_to_end"]
+metrics = r["metrics"]
 assert r["correct"] is True and r["attempted"] > 0, r
-assert r["metrics"][ran]["value"] > 0, r
+assert r["failed"] == 0, r
+missing = [m["name"] for m in declared if m["name"] not in metrics]
+assert not missing, ("metrics missing from the result", missing)
+assert metrics["trace.op_ms" if traced else "fn_per_s"]["value"] > 0, r
+if traced:
+    assert metrics["trace.overhead_ratio"]["value"] < 0.5, r
 ' "$trace"
   done
 done

@@ -57,7 +57,7 @@ pub use persist::{
     LifetimeCounters, LoadStatus, CACHE_FORMAT_VERSION, CACHE_MAGIC, STATS_MAGIC,
 };
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
@@ -340,6 +340,42 @@ pub struct PrevSolve {
     pub opts_tag: String,
 }
 
+/// The first memo level, retained beside the [`PrevSolve`] it was minted
+/// with: the raw `fn` section text ([`Module::source`]) the retained state
+/// answered, and — under [`PreAlgorithm::Speculative`] — the profile that
+/// came with it. A revision whose section is byte-identical, under the
+/// same options and profile, replays the retained output before `verify`
+/// or a fingerprint runs.
+#[derive(Debug)]
+struct SpanMemo {
+    text: Box<str>,
+    profile: Option<Profile>,
+}
+
+impl SpanMemo {
+    /// The span memo for section text `text` with `profile`: the profile
+    /// is kept only under speculative placement, the one placement whose
+    /// output it can change.
+    fn new(placement: PreAlgorithm, text: &str, profile: Option<&Profile>) -> Self {
+        let profile = match placement {
+            PreAlgorithm::Speculative => profile.cloned(),
+            _ => None,
+        };
+        SpanMemo {
+            text: text.into(),
+            profile,
+        }
+    }
+}
+
+/// One function name's retained state: the fixpoints and output memo, and
+/// the span memo when they were minted from module text.
+#[derive(Debug)]
+struct Retained {
+    prev: PrevSolve,
+    span: Option<SpanMemo>,
+}
+
 /// The output-affecting option fingerprint a [`PrevSolve`] memo is keyed
 /// under. Deliberately includes the validation tier and seed even though
 /// they cannot change the output text: a flag change must force a real
@@ -433,9 +469,10 @@ pub enum IncrementalMode {
     /// edits, forcing the full-solve fallback (the state was refreshed
     /// either way).
     Fallback,
-    /// The revision is byte-identical (same fingerprint, same options) to
-    /// the one the retained state answered: the output memo was replayed
-    /// with no solve, rewrite, validation, or printing work at all.
+    /// The revision is identical (same section bytes, or same fingerprint,
+    /// under the same options) to the one the retained state answered: the
+    /// output memo was replayed with no solve, rewrite, validation, or
+    /// printing work at all.
     ZeroDirty,
     /// The placement is not [`incremental_eligible`]; the unit ran the
     /// ordinary one-shot pipeline with no state retention.
@@ -488,11 +525,13 @@ pub struct BatchEngine {
     opts: BatchOptions,
     cache: PlanCache,
     persisted: Option<PersistState>,
-    /// Per-function-name retained fixpoints for the incremental hot path.
-    /// An entry is replaced on every re-optimization of its function and
-    /// lives until the process exits; the map is bounded by the number of
-    /// distinct function names a daemon serves.
-    prev_solves: HashMap<String, PrevSolve>,
+    /// Per-function-name retained fixpoints (and span memo) for the
+    /// incremental hot path. An entry is replaced on every re-optimization
+    /// of its function and lives until the process exits; the map is
+    /// bounded by the number of distinct function names a daemon serves.
+    /// An ordered map needs no per-map hasher state, which keeps engine
+    /// construction — once per module in a cold batch — cheap.
+    retained: BTreeMap<String, Retained>,
     /// Session increments of [`LifetimeCounters::incremental_hits`] and
     /// [`LifetimeCounters::delta_blocks_resolved`] (no [`CacheStats`] twin).
     incremental_hits: u64,
@@ -506,12 +545,15 @@ pub struct BatchEngine {
 
 impl BatchEngine {
     /// Creates an engine with an empty cache.
+    // Inlined so a caller that builds one engine per module (a cold batch)
+    // pays only for the fields it initialises.
+    #[inline]
     pub fn new(opts: BatchOptions) -> Self {
         BatchEngine {
             cache: PlanCache::new(opts.cache_capacity),
             opts,
             persisted: None,
-            prev_solves: HashMap::new(),
+            retained: BTreeMap::new(),
             incremental_hits: 0,
             delta_blocks_resolved: 0,
             edit_classes: EditClassCounters::default(),
@@ -535,7 +577,7 @@ impl BatchEngine {
                 base,
                 status,
             }),
-            prev_solves: HashMap::new(),
+            retained: BTreeMap::new(),
             incremental_hits: 0,
             delta_blocks_resolved: 0,
             edit_classes: EditClassCounters::default(),
@@ -572,20 +614,38 @@ impl BatchEngine {
     /// Removes and returns the retained fixpoint for `name`, if any. The
     /// take/put split (instead of borrowing in place) lets a daemon worker
     /// release the engine lock while it delta-solves; a concurrent unit of
-    /// the same name simply finds no state and solves fresh.
+    /// the same name simply finds no state and solves fresh. The span memo
+    /// retained with it is dropped: a span lives only beside the state it
+    /// was minted with.
     pub fn take_prev_solve(&mut self, name: &str) -> Option<PrevSolve> {
-        self.prev_solves.remove(name)
+        self.retained.remove(name).map(|r| r.prev)
     }
 
     /// Retains `prev` as the fixpoint to delta-solve `name`'s next
-    /// revision against, replacing any earlier state for that name.
+    /// revision against, replacing any earlier state for that name. No span
+    /// memo is stored with it, so the next revision reaches at least the
+    /// fingerprint memo.
     pub fn put_prev_solve(&mut self, name: &str, prev: PrevSolve) {
-        self.prev_solves.insert(name.to_string(), prev);
+        self.retain(name, prev, None);
+    }
+
+    fn retain(&mut self, name: &str, prev: PrevSolve, span: Option<SpanMemo>) {
+        self.retained
+            .insert(name.to_string(), Retained { prev, span });
     }
 
     /// Retained fixpoint entries currently held.
     pub fn prev_solves_len(&self) -> usize {
-        self.prev_solves.len()
+        self.retained.len()
+    }
+
+    /// Mutable access to `name`'s retained state and the section text its
+    /// span memo matches — for fault injection and tests; the normal
+    /// driver path never needs it. `None` unless the entry has a span memo.
+    pub fn span_memo_mut(&mut self, name: &str) -> Option<(&mut PrevSolve, &mut Box<str>)> {
+        let r = self.retained.get_mut(name)?;
+        let span = r.span.as_mut()?;
+        Some((&mut r.prev, &mut span.text))
     }
 
     /// This process's incremental counters so far:
@@ -659,12 +719,16 @@ impl BatchEngine {
 
     /// Optimizes every function of `m` through the incremental hot path,
     /// sequentially and in module order. Each unit runs one incremental
-    /// cycle: fingerprint, then either the zero-dirty memo replay or a
-    /// solve against the retained fixpoints ([`PrevSolve`]) — a delta, a
-    /// fresh solve on first sight, or the full fallback past the mapped
-    /// shape edits — then the ledger, the retained state and the plan
-    /// cache are updated. Functions whose placement is not
-    /// [`incremental_eligible`] run the one-shot pipeline instead.
+    /// cycle: when `m` came from [`parse_module`](lcm_ir::parse_module), a
+    /// function whose section text ([`Module::source`]) is byte-identical
+    /// to the one its retained state answered replays that output at once,
+    /// with no verification and no fingerprint. Every other unit is
+    /// verified and fingerprinted, then takes either the fingerprint-keyed
+    /// zero-dirty memo replay or a solve against the retained fixpoints
+    /// ([`PrevSolve`]) — a delta, a fresh solve on first sight, or the full
+    /// fallback past the mapped shape edits — then the ledger, the retained
+    /// state and the plan cache are updated. Functions whose placement is
+    /// not [`incremental_eligible`] run the one-shot pipeline instead.
     ///
     /// Per-unit output text is byte-identical to [`BatchEngine::run_module`]
     /// for the same input and options, at every placement and validation
@@ -676,17 +740,25 @@ impl BatchEngine {
         let mut scratch = SolverScratch::new();
         let opts_tag = options_tag(&self.opts);
         m.iter()
-            .map(|f| self.incremental_unit(f, m.profile(&f.name), &opts_tag, &mut scratch))
+            .enumerate()
+            .map(|(i, f)| {
+                let (span, profile) = (m.source(i), m.profile(&f.name));
+                self.incremental_unit(f, span, profile, &opts_tag, &mut scratch)
+            })
             .collect()
     }
 
     fn incremental_unit(
         &mut self,
         f: &Function,
+        span: Option<&str>,
         profile: Option<&Profile>,
         opts_tag: &str,
         scratch: &mut SolverScratch,
     ) -> IncrementalUnit {
+        if let Some(replayed) = span.and_then(|s| self.replay_span(f, s, profile, opts_tag)) {
+            return replayed;
+        }
         if let Err(e) = verify(f) {
             let err = UnitError {
                 kind: FailureKind::InvalidInput,
@@ -710,7 +782,8 @@ impl BatchEngine {
             return unaccounted_unit(f, outcome, IncrementalMode::OneShot);
         }
         let key = fingerprint_key(f, &context);
-        if let Some(replayed) = self.replay_memo(f, key, opts_tag) {
+        let mut span = span.map(|text| SpanMemo::new(self.opts.placement, text, profile));
+        if let Some(replayed) = self.replay_memo(f, key, opts_tag, &mut span) {
             return replayed;
         }
         let prev = self.take_prev_solve(&f.name);
@@ -718,23 +791,67 @@ impl BatchEngine {
         let computed = isolate(AssertUnwindSafe(|| {
             optimize_unit(f, &self.opts, None, &context, step, scratch)
         }));
-        self.finish_incremental(f, key, opts_tag, prev.is_some(), computed)
+        self.finish_incremental(f, key, opts_tag, prev.is_some(), computed, span)
     }
 
-    /// The zero-dirty memo, the first step of the incremental cycle: when
-    /// the state retained for `f`'s name answered exactly this revision
-    /// (fingerprint `key`) under the current options (`opts_tag`, the
-    /// engine's [`options_tag`]), its output is replayed with no solve,
-    /// rewrite, validation, or printing at all, and the replay is counted
-    /// in the edit ledger. A *dirty* function can never match — the
-    /// fingerprint covers the whole canonical body — and an option change
-    /// invalidates via the tag.
-    fn replay_memo(&mut self, f: &Function, key: u128, opts_tag: &str) -> Option<IncrementalUnit> {
-        let p = self.prev_solves.get(&f.name)?;
-        if p.key != key || p.opts_tag != opts_tag {
+    /// The span memo, the first step of the incremental cycle, before
+    /// `verify` and the fingerprint: when `span`, the raw text of `f`'s
+    /// `fn` section, is byte-identical to the section whose state is
+    /// retained for `f`'s name, under the same options (`opts_tag`) and —
+    /// under speculative placement — the same profile, the retained output
+    /// is replayed and counted as a zero-dirty edit. A span is recorded only
+    /// for a function that verified and took the incremental path, and
+    /// parsing a section depends on its bytes alone, so the replayed answer
+    /// is the one this revision would compute.
+    fn replay_span(
+        &mut self,
+        f: &Function,
+        span: &str,
+        profile: Option<&Profile>,
+        opts_tag: &str,
+    ) -> Option<IncrementalUnit> {
+        let r = self.retained.get(&f.name)?;
+        let memo = r.span.as_ref()?;
+        let same_profile = match self.opts.placement {
+            PreAlgorithm::LazyEdge => true,
+            PreAlgorithm::Speculative => memo.profile.as_ref() == profile,
+            _ => false,
+        };
+        if !same_profile || *memo.text != *span || r.prev.opts_tag != opts_tag {
             return None;
         }
-        let output = cache::with_name(&p.output_text, &f.name);
+        let output = cache::with_name(&r.prev.output_text, &f.name);
+        self.edit_classes.zero_dirty += 1;
+        Some(unaccounted_unit(f, Ok(output), IncrementalMode::ZeroDirty))
+    }
+
+    /// The zero-dirty memo, the second memo level: when the state retained
+    /// for `f`'s name answered exactly this revision (fingerprint `key`)
+    /// under the current options (`opts_tag`, the engine's
+    /// [`options_tag`]), its output is replayed with no solve, rewrite,
+    /// validation, or printing at all, and the replay is counted in the
+    /// edit ledger. A *dirty* function can never match — the fingerprint
+    /// covers the whole canonical body — and an option change invalidates
+    /// via the tag. It answers edits the span memo misses (whitespace or
+    /// comments) and functions built without source text. On a replay,
+    /// `span` (if any) is moved in as the entry's span memo: `f` verified
+    /// and answers to the same state, so its next identical revision
+    /// replays at the first level.
+    fn replay_memo(
+        &mut self,
+        f: &Function,
+        key: u128,
+        opts_tag: &str,
+        span: &mut Option<SpanMemo>,
+    ) -> Option<IncrementalUnit> {
+        let r = self.retained.get_mut(&f.name)?;
+        if r.prev.key != key || r.prev.opts_tag != opts_tag {
+            return None;
+        }
+        if let Some(span) = span.take() {
+            r.span = Some(span);
+        }
+        let output = cache::with_name(&r.prev.output_text, &f.name);
         self.edit_classes.zero_dirty += 1;
         Some(unaccounted_unit(f, Ok(output), IncrementalMode::ZeroDirty))
     }
@@ -742,7 +859,8 @@ impl BatchEngine {
     /// The last step of the incremental cycle, after the solve (which a
     /// daemon runs with the engine unlocked): classifies the unit, counts
     /// it in the delta and edit-class ledgers and the phase totals,
-    /// retains its fixpoints and output memo under `key` and `opts_tag` for
+    /// retains its fixpoints and output memo under `key` and `opts_tag` —
+    /// with `span`, the unit's span memo, if it came from module text — for
     /// the next revision, and fills the plan cache. `had_prev` says whether
     /// the solve ran against retained state.
     fn finish_incremental(
@@ -752,6 +870,7 @@ impl BatchEngine {
         opts_tag: &str,
         had_prev: bool,
         computed: Result<UnitRun, UnitError>,
+        span: Option<SpanMemo>,
     ) -> IncrementalUnit {
         let run = match computed {
             Ok(run) => run,
@@ -781,7 +900,7 @@ impl BatchEngine {
             output_text: run.entry.output_text.clone(),
             opts_tag: opts_tag.to_string(),
         };
-        self.put_prev_solve(&f.name, prev);
+        self.retain(&f.name, prev, span);
         if self.opts.use_cache {
             self.cache.insert(key, run.entry);
         }

@@ -55,7 +55,7 @@ use crate::protocol::{
 use crate::{
     cache, fingerprint_with_context, incremental_eligible, isolate, optimize_unit, options_tag,
     resolve_jobs, unit_context, BatchEngine, BatchOptions, CacheEntry, FailureKind,
-    IncrementalUnit, LoadStatus, PreStep, UnitError,
+    IncrementalUnit, LoadStatus, PreStep, SpanMemo, UnitError,
 };
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -107,6 +107,8 @@ struct UnitJob {
     function: Function,
     weights: Option<EdgeWeights>,
     context: String,
+    /// The unit's span memo: its `fn` section text from the request.
+    span: Option<SpanMemo>,
     deadline: Option<Instant>,
     fuel: u64,
     cancel: Arc<AtomicBool>,
@@ -374,9 +376,9 @@ fn worker_loop(core: &Arc<Core>) {
     }
 }
 
-/// Optimizes one unit: budget check, cache lookup (with re-validation),
-/// compute on miss, cache fill.
-fn process_job(core: &Arc<Core>, scratch: &mut SolverScratch, job: UnitJob) -> Response {
+/// Optimizes one unit: budget check, span memo, cache lookup (with
+/// re-validation), compute on miss, cache fill.
+fn process_job(core: &Arc<Core>, scratch: &mut SolverScratch, mut job: UnitJob) -> Response {
     if job.cancel.load(Ordering::Relaxed) {
         return unit_err_response(
             job.index,
@@ -386,6 +388,20 @@ fn process_job(core: &Arc<Core>, scratch: &mut SolverScratch, job: UnitJob) -> R
                 message: "request abandoned before the unit started".into(),
             },
         );
+    }
+    let opts = core.opts.batch;
+    let incremental = incremental_eligible(opts.placement, job.weights.as_ref())
+        && job.deadline.is_none()
+        && job.fuel == 0;
+    let opts_tag = options_tag(&opts);
+    // The span memo, before any other work: the same engine step as the
+    // watch cycle's first.
+    if let (true, Some(span)) = (incremental, &job.span) {
+        let mut engine = core.engine.lock().expect("engine lock");
+        let profile = span.profile.as_ref();
+        if let Some(unit) = engine.replay_span(&job.function, &span.text, profile, &opts_tag) {
+            return unit_response(job.index, unit);
+        }
     }
     if let Err(e) = verify(&job.function) {
         return unit_err_response(
@@ -406,12 +422,7 @@ fn process_job(core: &Arc<Core>, scratch: &mut SolverScratch, job: UnitJob) -> R
         budget = budget.with_fuel(job.fuel);
     }
 
-    let opts = core.opts.batch;
-    let incremental = incremental_eligible(opts.placement, job.weights.as_ref())
-        && job.deadline.is_none()
-        && job.fuel == 0;
     let (key, text) = fingerprint_with_context(&job.function, &job.context);
-    let opts_tag = options_tag(&opts);
 
     // The zero-dirty memo is checked *before* the plan cache: the memo was
     // validated when it was produced in this very process, so a hit skips
@@ -419,7 +430,7 @@ fn process_job(core: &Arc<Core>, scratch: &mut SolverScratch, job: UnitJob) -> R
     let cached: Option<CacheEntry> = {
         let mut engine = core.engine.lock().expect("engine lock");
         if incremental {
-            if let Some(unit) = engine.replay_memo(&job.function, key, &opts_tag) {
+            if let Some(unit) = engine.replay_memo(&job.function, key, &opts_tag, &mut job.span) {
                 return unit_response(job.index, unit);
             }
         }
@@ -481,8 +492,9 @@ fn process_job(core: &Arc<Core>, scratch: &mut SolverScratch, job: UnitJob) -> R
             optimize_unit(&job.function, &opts, None, &job.context, step, scratch)
         }));
         let mut engine = core.engine.lock().expect("engine lock");
+        let had_prev = prev.is_some();
         let unit =
-            engine.finish_incremental(&job.function, key, &opts_tag, prev.is_some(), computed);
+            engine.finish_incremental(&job.function, key, &opts_tag, had_prev, computed, job.span);
         return unit_response(job.index, unit);
     }
 
@@ -640,19 +652,31 @@ fn handle_optimize(
     };
     let functions: Vec<Function> = parsed.iter().cloned().collect();
     let n = functions.len();
+    let placement = core.opts.batch.placement;
 
     // Resolve profiles exactly as the batch engine does, so a daemon
     // answer is the batch answer.
     let weights: Vec<Option<EdgeWeights>> = functions
         .iter()
         .map(|f| {
-            if core.opts.batch.placement == PreAlgorithm::Speculative {
+            if placement == PreAlgorithm::Speculative {
                 parsed
                     .profile(&f.name)
                     .and_then(|p| EdgeWeights::from_profile(f, p).ok())
             } else {
                 None
             }
+        })
+        .collect();
+
+    let spans: Vec<Option<SpanMemo>> = functions
+        .iter()
+        .enumerate()
+        .map(|(i, f)| {
+            let profile = parsed.profile(&f.name);
+            parsed
+                .source(i)
+                .map(|text| SpanMemo::new(placement, text, profile))
         })
         .collect();
 
@@ -675,14 +699,15 @@ fn handle_optimize(
             );
         }
         q.outstanding += n;
-        for (i, f) in functions.into_iter().enumerate() {
-            let context = unit_context(core.opts.batch.placement, weights[i].as_ref());
+        for (i, (f, span)) in functions.into_iter().zip(spans).enumerate() {
+            let context = unit_context(placement, weights[i].as_ref());
             q.jobs.push_back(UnitJob {
                 index: i as u32,
                 name: f.name.clone(),
                 function: f,
                 weights: weights[i].clone(),
                 context,
+                span,
                 deadline,
                 fuel,
                 cancel: Arc::clone(&cancel),

@@ -519,6 +519,34 @@ pub fn poison_output_memo(prev: &mut lcm_driver::PrevSolve, seed: u64, stale_key
     }
 }
 
+/// Corrupts the span memo an engine retains for function `name` — seeded
+/// garbage over the retained output text and, when `rot_span`, a rotted
+/// section text and fingerprint key, modelling a memo that outlived the
+/// revision it was minted for. Reached through
+/// [`BatchEngine::span_memo_mut`](lcm_driver::BatchEngine::span_memo_mut).
+/// The driver's defense is again *keying*: the span memo replays only a
+/// byte-identical section, so an edited function never meets the garbage,
+/// and a rotted span (with its key) matches no revision, which recomputes
+/// and re-memoizes the honest answer. The faults suite pins both halves.
+///
+/// Returns `false` (nothing touched) when `name` has no span memo.
+pub fn poison_span_memo(
+    engine: &mut lcm_driver::BatchEngine,
+    name: &str,
+    seed: u64,
+    rot_span: bool,
+) -> bool {
+    let Some((prev, span)) = engine.span_memo_mut(name) else {
+        return false;
+    };
+    poison_output_memo(prev, seed, rot_span);
+    if rot_span {
+        let mut state = seed ^ 0x5A4E_0F5E_u64;
+        *span = format!("{span}\n# rot {:016x}", splitmix64(&mut state)).into();
+    }
+    true
+}
+
 /// Corrupts one weight of an edge profile in place — modelling bit-rot or
 /// a buggy profiler writing the textual profile section the driver later
 /// trusts. The perturbation is seeded and always *lands* (the chosen
@@ -907,6 +935,56 @@ mod tests {
         let units = engine.run_module_incremental(&m0);
         assert_eq!(units[0].mode, IncrementalMode::ZeroDirty);
         assert_eq!(units[0].outcome.clone().unwrap(), first);
+    }
+
+    #[test]
+    fn poisoned_span_memo_is_never_replayed() {
+        use lcm_driver::{BatchEngine, BatchOptions, IncrementalMode};
+        use lcm_ir::parse_module;
+
+        let edited = DIAMOND.replace("y = a + b", "y = a + b\n          a = 1");
+        let m0 = parse_module(DIAMOND).unwrap();
+        let m1 = parse_module(&edited).unwrap();
+        let want = {
+            let mut fresh = BatchEngine::new(BatchOptions::default());
+            fresh.run_module_incremental(&m1)[0]
+                .outcome
+                .clone()
+                .unwrap()
+        };
+
+        // An edited function against a poisoned span memo (span and key
+        // intact): its section bytes differ, so the memo is bypassed, the
+        // unit delta-solves, and the garbage text never surfaces.
+        let mut engine = BatchEngine::new(BatchOptions::default());
+        engine.run_module_incremental(&m0);
+        assert!(poison_span_memo(&mut engine, "d", 5, false));
+        let units = engine.run_module_incremental(&m1);
+        assert_eq!(units[0].mode, IncrementalMode::Delta);
+        assert_eq!(units[0].outcome.clone().unwrap(), want);
+
+        // An *identical* revision against a memo whose span and key
+        // rotted: no section matches the rotted bytes and nothing
+        // fingerprints to the stale key, so the unit recomputes the honest
+        // answer and memoizes it again.
+        let mut engine = BatchEngine::new(BatchOptions::default());
+        let first = engine.run_module_incremental(&m0)[0]
+            .outcome
+            .clone()
+            .unwrap();
+        assert!(poison_span_memo(&mut engine, "d", 6, true));
+        let units = engine.run_module_incremental(&m0);
+        assert_eq!(units[0].mode, IncrementalMode::Delta);
+        assert_eq!(units[0].outcome.clone().unwrap(), first);
+        let units = engine.run_module_incremental(&m0);
+        assert_eq!(units[0].mode, IncrementalMode::ZeroDirty);
+        assert_eq!(units[0].outcome.clone().unwrap(), first);
+        assert!(engine.span_memo_mut("d").is_some());
+
+        // Only a span memo minted from module text can be poisoned.
+        let mut engine = BatchEngine::new(BatchOptions::default());
+        engine.run_module_incremental(&lcm_ir::Module::new(m0.functions().to_vec()));
+        assert!(!poison_span_memo(&mut engine, "d", 7, false));
     }
 
     #[test]

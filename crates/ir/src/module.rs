@@ -4,6 +4,7 @@
 //! one `.lcm` file, in source order. Function names are unique within a
 //! module so per-function results can be reported unambiguously.
 
+use std::collections::hash_map::{Entry, HashMap};
 use std::fmt;
 
 use crate::function::Function;
@@ -27,10 +28,34 @@ use crate::profile::Profile;
 /// assert_eq!(m, reparsed);
 /// # Ok::<(), lcm_ir::ParseError>(())
 /// ```
-#[derive(Clone, PartialEq, Debug, Default)]
+#[derive(Clone, Default)]
 pub struct Module {
     functions: Vec<Function>,
+    /// Per function, the raw text of its `fn` section when it came from
+    /// [`parse_module`](crate::parse_module); `None` otherwise.
+    sources: Vec<Option<Box<str>>>,
     profiles: Vec<Profile>,
+    /// Function name → (function index, profile index), so name lookups
+    /// stay O(1) however large the module grows.
+    by_name: HashMap<String, (usize, Option<usize>)>,
+}
+
+/// Equality is over the functions and profiles only: the recorded sources
+/// are a cache of where the functions came from, so a parsed module equals
+/// its printed-and-reparsed self and an API-built twin.
+impl PartialEq for Module {
+    fn eq(&self, other: &Self) -> bool {
+        self.functions == other.functions && self.profiles == other.profiles
+    }
+}
+
+impl fmt::Debug for Module {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Module")
+            .field("functions", &self.functions)
+            .field("profiles", &self.profiles)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Module {
@@ -52,11 +77,24 @@ impl Module {
     /// Appends `f`, rejecting it (returned unchanged, boxed to keep the
     /// error small) if a function with the same name is already present.
     pub fn push(&mut self, f: Function) -> Result<(), Box<Function>> {
-        if self.get(&f.name).is_some() {
-            return Err(Box::new(f));
+        self.push_with_source(f, None)
+    }
+
+    /// [`Module::push`], recording `source` as the function's text.
+    pub(crate) fn push_with_source(
+        &mut self,
+        f: Function,
+        source: Option<Box<str>>,
+    ) -> Result<(), Box<Function>> {
+        match self.by_name.entry(f.name.clone()) {
+            Entry::Occupied(_) => Err(Box::new(f)),
+            Entry::Vacant(slot) => {
+                slot.insert((self.functions.len(), None));
+                self.functions.push(f);
+                self.sources.push(source);
+                Ok(())
+            }
         }
-        self.functions.push(f);
-        Ok(())
     }
 
     /// Attaches an edge profile, rejecting it (returned unchanged, boxed to
@@ -65,16 +103,29 @@ impl Module {
     /// consistency against the function is *not* checked here; see
     /// [`Profile::resolve`].
     pub fn push_profile(&mut self, p: Profile) -> Result<(), Box<Profile>> {
-        if self.get(&p.function).is_none() || self.profile(&p.function).is_some() {
-            return Err(Box::new(p));
+        match self.by_name.get_mut(&p.function) {
+            Some((_, slot @ None)) => {
+                *slot = Some(self.profiles.len());
+                self.profiles.push(p);
+                Ok(())
+            }
+            _ => Err(Box::new(p)),
         }
-        self.profiles.push(p);
-        Ok(())
     }
 
     /// The functions in source order.
     pub fn functions(&self) -> &[Function] {
         &self.functions
+    }
+
+    /// The raw text of function `i`'s `fn` section — its header line
+    /// through its closing `}` line — when the module was read by
+    /// [`parse_module`](crate::parse_module); `None` for a function added
+    /// through [`Module::new`] or [`Module::push`], or out of range.
+    /// Parsing a section depends on its bytes alone, so equal sources
+    /// parse to equal functions.
+    pub fn source(&self, i: usize) -> Option<&str> {
+        self.sources.get(i)?.as_deref()
     }
 
     /// The profiles in source order.
@@ -84,12 +135,13 @@ impl Module {
 
     /// Looks up the profile attached to function `name`, if any.
     pub fn profile(&self, name: &str) -> Option<&Profile> {
-        self.profiles.iter().find(|p| p.function == name)
+        let (_, p) = self.by_name.get(name)?;
+        p.map(|p| &self.profiles[p])
     }
 
     /// Looks up a function by name.
     pub fn get(&self, name: &str) -> Option<&Function> {
-        self.functions.iter().find(|f| f.name == name)
+        self.by_name.get(name).map(|&(i, _)| &self.functions[i])
     }
 
     /// Number of functions.
@@ -215,6 +267,55 @@ entry:
         let again = parse_module(&printed).unwrap();
         assert_eq!(m, again);
         assert_eq!(printed, again.to_string());
+    }
+
+    #[test]
+    fn records_each_function_section_verbatim() {
+        // Comments and blank lines between sections belong to no function;
+        // a comment on a section's own lines is part of its bytes.
+        let text = format!("# lead\n\n{TWO}   # trailing\n\n# tail\n");
+        let m = parse_module(&text).unwrap();
+        assert!(m.source(0).unwrap().starts_with("fn first {\nentry:"));
+        assert!(m.source(0).unwrap().ends_with("  ret\n}"));
+        assert_eq!(
+            m.source(1).unwrap(),
+            "fn second {\nentry:\n  y = a * 2\n  obs y\n  ret\n}   # trailing"
+        );
+        assert_eq!(m.source(2), None);
+        // Equal sources parse to equal functions, whatever surrounds them.
+        for (i, f) in m.iter().enumerate() {
+            assert_eq!(&crate::parse_function(m.source(i).unwrap()).unwrap(), f);
+        }
+        // CRLF input keeps its `\r`s inside the section.
+        let crlf = parse_module("fn solo {\r\nentry:\r\n  ret\r\n}\r\n").unwrap();
+        assert_eq!(crlf.source(0), Some("fn solo {\r\nentry:\r\n  ret\r\n}\r"));
+        // API-built functions have no source, and sources never affect
+        // equality.
+        let built = Module::new(m.functions().to_vec());
+        assert_eq!(built.source(0), None);
+        assert_eq!(built, parse_module(TWO).unwrap());
+    }
+
+    #[test]
+    fn name_lookups_scale_to_huge_modules() {
+        // Pushing, and so parsing, used to scan every earlier function for
+        // a name clash: quadratic in the module's size.
+        let n = 50_000;
+        let mut text = String::new();
+        for i in 0..n {
+            text.push_str(&format!("fn f{i} {{\nentry:\n  ret\n}}\n"));
+        }
+        text.push_str("profile f7 {\n}\n");
+        let start = std::time::Instant::now();
+        let m = parse_module(&text).unwrap();
+        let elapsed = start.elapsed();
+        assert_eq!(m.len(), n);
+        assert_eq!(m.get("f49999").unwrap().name, "f49999");
+        assert!(m.profile("f7").is_some() && m.profile("f8").is_none());
+        assert!(
+            elapsed < std::time::Duration::from_secs(5),
+            "parsing {n} functions took {elapsed:?}"
+        );
     }
 
     #[test]

@@ -252,6 +252,9 @@ struct Section<'a> {
     lines: Vec<LineRef>,
     /// Whether the section ends at a `}` line (else the input ran out).
     closed: bool,
+    /// Byte range of the section in the input: the header line's start
+    /// through the end of its last line, line terminator excluded.
+    bytes: std::ops::Range<usize>,
 }
 
 impl<'a> Section<'a> {
@@ -332,6 +335,7 @@ impl<'a> Reader<'a> {
         sec.closed = false;
         loop {
             let start = sec.toks.len();
+            let line_start = self.pos;
             let Some(no) = self.lex_next(&mut sec.toks, &mut sec.cols)? else {
                 break;
             };
@@ -339,6 +343,11 @@ impl<'a> Reader<'a> {
             if start == end {
                 continue;
             }
+            if sec.lines.is_empty() {
+                sec.bytes.start = line_start;
+            }
+            let line = &self.text[line_start..self.pos];
+            sec.bytes.end = self.pos - usize::from(line.ends_with('\n'));
             sec.lines.push(LineRef { no, start, end });
             if sec.lines.len() > 1 && matches!(sec.toks[start..], [Tok::Sym("}")]) {
                 sec.closed = true;
@@ -476,6 +485,9 @@ pub fn parse_function(text: &str) -> Result<Function, ParseError> {
 /// flow conserved at internal blocks — so a module that parses never carries
 /// an inconsistent profile. Like [`parse_function`], the verifier is not
 /// run; the batch driver verifies each function before optimizing it.
+/// Each function keeps the raw text of its `fn` section
+/// ([`Module::source`](crate::Module::source)), so an incremental caller
+/// can recognise a byte-identical function without looking further.
 ///
 /// # Errors
 ///
@@ -496,7 +508,8 @@ pub fn parse_module(text: &str) -> Result<crate::Module, ParseError> {
                 parse_profile_section(&sec, name, &mut module)
             }
             _ => parse_one(&sec, &mut labels).and_then(|f| {
-                module.push(f).map_err(|f| {
+                let source = reader.text[sec.bytes.clone()].into();
+                module.push_with_source(f, Some(source)).map_err(|f| {
                     header.err(0, format!("duplicate function `{}` in module", f.name))
                 })
             }),

@@ -4,11 +4,15 @@
 //! actually changed — fresh on first sight, an SCC-scoped delta on a
 //! content edit (re-solving strictly fewer block rows than a full solve),
 //! a *mapped* delta on a recognized one-block shape edit, and a zero-dirty
-//! memo replay for functions the revision didn't touch at all.
+//! memo replay for functions the revision didn't touch at all — by their
+//! section bytes when the module came from text, by their fingerprint
+//! otherwise.
 
 use lcm::cfggen::{corpus, mutate_function, seeded, synthetic_profile, GenOptions};
 use lcm::core::{PreAlgorithm, ValidationLevel};
-use lcm::driver::{report, BatchEngine, BatchOptions, EditClassCounters, IncrementalMode};
+use lcm::driver::{
+    report, BatchEngine, BatchOptions, EditClassCounters, FailureKind, IncrementalMode,
+};
 use lcm::ir::{parse_module, Module};
 
 /// Revision 0: the classic diamond, plus a straight-line function that
@@ -72,13 +76,23 @@ fn seeded_revisions() -> Vec<Module> {
     revisions
 }
 
+/// `m` printed and parsed back: the same text, profiles included, now
+/// carrying the section bytes the span memo keys on.
+fn reparsed(m: &Module) -> Module {
+    let text = m.to_string();
+    let again = parse_module(&text).expect("printed module parses");
+    assert_eq!(again.to_string(), text);
+    again
+}
+
 #[test]
 fn watched_revisions_match_one_shot_batches_byte_for_byte() {
     let scripted = [REV0.to_string(), rev1(), rev2()]
         .iter()
         .map(|text| parse_module(text).expect("revision parses"))
         .collect::<Vec<_>>();
-    for revisions in [scripted, seeded_revisions()] {
+    let seeded_text = seeded_revisions().iter().map(reparsed).collect();
+    for revisions in [scripted, seeded_revisions(), seeded_text] {
         check_against_one_shot(&revisions);
     }
 }
@@ -186,14 +200,22 @@ fn every_placement_and_tier_matches_one_shot_batches() {
     placements.push((PreAlgorithm::Speculative, true));
     placements.push((PreAlgorithm::Speculative, false));
     for (placement, profiled) in placements {
-        let m = parity_module(profiled);
-        for validate in [
+        // Built through the API, and printed and parsed back, so both memo
+        // levels answer the second revision.
+        let built = parity_module(profiled);
+        let text = reparsed(&built);
+        let tiers = [
             ValidationLevel::Off,
             ValidationLevel::Fast,
             ValidationLevel::Full,
-        ] {
+        ];
+        for (m, validate) in [&built, &text]
+            .into_iter()
+            .flat_map(|m| tiers.map(|v| (m, v)))
+        {
+            let from_text = m.source(0).is_some();
             let tag = format!(
-                "{} (profiled: {profiled}) at {validate:?}",
+                "{} (profiled: {profiled}, from text: {from_text}) at {validate:?}",
                 placement.name()
             );
             let opts = BatchOptions {
@@ -201,11 +223,11 @@ fn every_placement_and_tier_matches_one_shot_batches() {
                 validate,
                 ..BatchOptions::default()
             };
-            let result = BatchEngine::new(opts).run_module(&m);
+            let result = BatchEngine::new(opts).run_module(m);
             assert_eq!(result.totals.failed, 0, "{tag}");
             let want = report::render_text(&result);
             let mut watch = BatchEngine::new(opts);
-            let first = watch.run_module_incremental(&m);
+            let first = watch.run_module_incremental(m);
             assert_eq!(
                 report::render_incremental_text(&first),
                 want,
@@ -213,7 +235,7 @@ fn every_placement_and_tier_matches_one_shot_batches() {
             );
             // The second revision is byte-identical: every incremental
             // unit replays its memo, every other unit reruns one-shot.
-            let second = watch.run_module_incremental(&m);
+            let second = watch.run_module_incremental(m);
             assert_eq!(
                 report::render_incremental_text(&second),
                 want,
@@ -239,4 +261,104 @@ fn every_placement_and_tier_matches_one_shot_batches() {
             );
         }
     }
+}
+
+/// Runs one revision through `watch` and checks it against a cold one-shot
+/// batch of the same text; returns the per-unit modes.
+fn revise(watch: &mut BatchEngine, text: &str) -> Vec<IncrementalMode> {
+    let m = parse_module(text).expect("revision parses");
+    let units = watch.run_module_incremental(&m);
+    let mut fresh = BatchEngine::new(BatchOptions {
+        use_cache: false,
+        ..*watch.options()
+    });
+    assert_eq!(
+        report::render_incremental_text(&units),
+        report::render_text(&fresh.run_module(&m)),
+        "revision diverged from the one-shot answer:\n{text}"
+    );
+    units.iter().map(|u| u.mode).collect()
+}
+
+#[test]
+fn a_span_miss_falls_through_to_the_fingerprint_memo() {
+    use IncrementalMode::{Delta, Fresh, ZeroDirty};
+    let mut watch = BatchEngine::new(BatchOptions::default());
+    assert_eq!(revise(&mut watch, REV0), [Fresh, Fresh]);
+    assert_eq!(revise(&mut watch, REV0), [ZeroDirty, ZeroDirty]);
+    // Whitespace and a comment inside `d`: its bytes changed, so the span
+    // memo misses, but it parses to the same function and the fingerprint
+    // memo replays it. The replay re-keys the span memo on the new bytes.
+    let spaced = REV0.replace("  obs y\n", "  obs   y   # observed\n\n");
+    assert_eq!(revise(&mut watch, &spaced), [ZeroDirty, ZeroDirty]);
+    let (_, span) = watch.span_memo_mut("d").expect("d has a span memo");
+    assert!(span.contains("# observed"), "{span}");
+    assert_eq!(watch.edit_classes().zero_dirty, 4);
+    assert_eq!(watch.edit_classes().total(), 4);
+    // A content edit still reaches the solver.
+    assert_eq!(
+        revise(&mut watch, &spaced.replace("x = a + b", "x = a - b"))[0],
+        Delta
+    );
+}
+
+#[test]
+fn a_renamed_header_is_not_replayed() {
+    use IncrementalMode::{Fresh, ZeroDirty};
+    let mut watch = BatchEngine::new(BatchOptions::default());
+    revise(&mut watch, REV0);
+    // The same body under a new name is a new function.
+    let renamed = REV0.replace("fn straight {", "fn straighter {");
+    assert_eq!(revise(&mut watch, &renamed), [ZeroDirty, Fresh]);
+    // Swapped names: each header now opens the other function's body.
+    let swapped = renamed
+        .replace("fn d {", "fn TMP {")
+        .replace("fn straighter {", "fn d {")
+        .replace("fn TMP {", "fn straighter {");
+    let modes = revise(&mut watch, &swapped);
+    assert!(!modes.contains(&ZeroDirty), "{modes:?}");
+}
+
+#[test]
+fn an_invalid_function_fails_on_every_revision() {
+    // Parses, but `dead` is unreachable: verification refuses it.
+    let invalid =
+        format!("{REV0}\nfn bad {{\nentry:\n  jmp exit\ndead:\n  jmp exit\nexit:\n  ret\n}}\n");
+    let m = parse_module(&invalid).unwrap();
+    let mut watch = BatchEngine::new(BatchOptions::default());
+    for revision in 0..2 {
+        let units = watch.run_module_incremental(&m);
+        let err = units[2].outcome.as_ref().unwrap_err();
+        assert_eq!(err.kind, FailureKind::InvalidInput, "revision {revision}");
+        assert!(units[..2].iter().all(|u| u.outcome.is_ok()));
+    }
+}
+
+#[test]
+fn spec_replays_only_under_the_same_profile() {
+    use IncrementalMode::{Fresh, OneShot, ZeroDirty};
+    let golden = include_str!(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/testdata/guarded_loop.lcm"
+    ));
+    let bare = &golden[..golden.find("profile guarded").unwrap()];
+    // Flow still conserves; the guard is now cold.
+    let cold = golden
+        .replace("body -> compute : 6", "body -> compute : 2")
+        .replace("compute -> latch : 6", "compute -> latch : 2")
+        .replace("body -> skip : 3", "body -> skip : 7")
+        .replace("skip -> latch : 3", "skip -> latch : 7");
+    let mut watch = BatchEngine::new(BatchOptions {
+        placement: PreAlgorithm::Speculative,
+        ..BatchOptions::default()
+    });
+    // No profile: the unit runs plain LCM incrementally.
+    assert_eq!(revise(&mut watch, bare), [Fresh]);
+    assert_eq!(revise(&mut watch, bare), [ZeroDirty]);
+    // The same `fn` bytes with a profile added, then changed: the profile
+    // decides the placement, so neither is replayed.
+    assert_eq!(revise(&mut watch, golden), [OneShot]);
+    assert_eq!(revise(&mut watch, &cold), [OneShot]);
+    // Back to no profile: the retained answer is the right one again.
+    assert_eq!(revise(&mut watch, bare), [ZeroDirty]);
 }
