@@ -8,8 +8,8 @@ cd "$(dirname "$0")"
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo doc --workspace --no-deps (rustdoc warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
@@ -96,8 +96,9 @@ diff testdata/memory_alias.lcm "$SMOKE/memalias.out"
 # Watch smoke: an edit stream through `lcmopt watch` must track the file
 # and answer byte-identically to a one-shot batch of each revision. Three
 # scripted edits cover the incremental tiers: a pure content edit takes
-# the delta path, a byte-different parse-identical rewrite replays the
-# zero-dirty output memo ("0 dirty" on stderr, output bytes unchanged),
+# the delta path, a byte-different file whose `fn` sections are unchanged
+# replays each function's span memo ("0 dirty" on stderr, output bytes
+# unchanged),
 # and a universe-growing edit (new expression) stays on the delta path
 # instead of falling back (PR 10 widening).
 echo "==> watch smoke: scripted edits, output diffed vs one-shot batch"
@@ -147,8 +148,8 @@ EOT
 # delta-path edit, same pair tests/watch.rs pins.
 awk '{ print } /y = a \+ b/ { print "  a = 1" }' "$SMOKE/rev0.lcm" \
   > "$SMOKE/rev1.lcm"
-# Revision 2: byte-different but parse-identical (one trailing blank
-# line). Both functions must replay the zero-dirty output memo.
+# Revision 2: byte-different, but every `fn` section is byte-identical
+# (one trailing blank line). Both functions must replay their span memo.
 { cat "$SMOKE/rev1.lcm"; echo; } > "$SMOKE/rev2.lcm"
 # Revision 3: a universe-growing edit — `p + q` is a new expression in
 # `straight` — which PR 10's widening keeps on the delta path.
@@ -167,7 +168,7 @@ while [ ! -s "$SMOKE/watch.out" ] && [ "$i" -lt 100 ]; do i=$((i + 1)); sleep 0.
 diff "$SMOKE/watch.out" "$SMOKE/rev0.batch"
 "$LCMOPT" batch "$SMOKE/rev1.lcm" --emit text > "$SMOKE/rev1.batch" 2>/dev/null
 "$LCMOPT" batch "$SMOKE/rev3.lcm" --emit text > "$SMOKE/rev3.batch" 2>/dev/null
-# Edit 1: content delta on fn d, memo replay on untouched fn straight.
+# Edit 1: content delta on fn d, span memo replay on untouched fn straight.
 publish "$SMOKE/rev1.lcm"
 wait_iter 1
 wait_out "$SMOKE/rev1.batch"
@@ -217,7 +218,7 @@ grep -Eq "cache file (loaded|refused)" "$SMOKE/serve2.log"
 # delta-solve against the fixpoints retained from the previous revision
 # and report the hits, not pay a fresh solve. The edit-class ledger in
 # --stats classifies the resend: fn d was a content edit, fn straight
-# was byte-identical and replayed the zero-dirty output memo.
+# was byte-identical and replayed its span memo.
 "$LCMOPT" request --socket "$SOCK" "$SMOKE/rev0.lcm" > /dev/null
 "$LCMOPT" request --socket "$SOCK" "$SMOKE/rev1.lcm" > /dev/null
 "$LCMOPT" request --socket "$SOCK" --stats > "$SMOKE/serve.stats"

@@ -10,8 +10,6 @@
 
 use std::fmt;
 
-use crate::error::ShapeMismatch;
-
 pub(crate) const WORD_BITS: usize = 64;
 
 /// The shared body of the fused row kernels: applies `op` word-wise over
@@ -478,49 +476,6 @@ impl BitSet {
         BitIter::new(&self.words)
     }
 
-    /// Checks that `other` has the same capacity, as the binary operations
-    /// require, returning a typed [`ShapeMismatch`] instead of panicking.
-    /// This is the checked counterpart of the assertion the panicking
-    /// operations use; both are active in release builds.
-    #[inline]
-    pub fn shape_check(&self, other: &BitSet) -> Result<(), ShapeMismatch> {
-        if self.nbits == other.nbits {
-            Ok(())
-        } else {
-            Err(ShapeMismatch {
-                context: "matching bit-set capacity",
-                expected: self.nbits,
-                found: other.nbits,
-            })
-        }
-    }
-
-    /// Checked [`union_with`](Self::union_with): `self ∪= other`, or a
-    /// [`ShapeMismatch`] if the capacities differ. `Ok(true)` means `self`
-    /// changed.
-    pub fn try_union_with(&mut self, other: &BitSet) -> Result<bool, ShapeMismatch> {
-        self.shape_check(other)?;
-        Ok(self.union_with(other))
-    }
-
-    /// Checked [`intersect_with`](Self::intersect_with).
-    pub fn try_intersect_with(&mut self, other: &BitSet) -> Result<bool, ShapeMismatch> {
-        self.shape_check(other)?;
-        Ok(self.intersect_with(other))
-    }
-
-    /// Checked [`difference_with`](Self::difference_with).
-    pub fn try_difference_with(&mut self, other: &BitSet) -> Result<bool, ShapeMismatch> {
-        self.shape_check(other)?;
-        Ok(self.difference_with(other))
-    }
-
-    /// Checked [`is_superset`](Self::is_superset).
-    pub fn try_is_superset(&self, other: &BitSet) -> Result<bool, ShapeMismatch> {
-        self.shape_check(other)?;
-        Ok(self.is_superset(other))
-    }
-
     #[inline]
     fn check(&self, other: &BitSet) {
         assert_eq!(
@@ -596,25 +551,6 @@ mod tests {
         let mut a = BitSet::new(10);
         let b = BitSet::new(11);
         a.union_with(&b);
-    }
-
-    #[test]
-    fn checked_ops_return_shape_mismatch() {
-        let mut a = BitSet::new(10);
-        let b = BitSet::new(11);
-        let err = a.try_union_with(&b).unwrap_err();
-        assert_eq!(err.expected, 10);
-        assert_eq!(err.found, 11);
-        assert!(err.to_string().contains("capacity"));
-        assert!(a.try_intersect_with(&b).is_err());
-        assert!(a.try_difference_with(&b).is_err());
-        assert!(a.try_is_superset(&b).is_err());
-
-        let mut c = BitSet::new(11);
-        c.insert(3);
-        assert_eq!(c.try_union_with(&b), Ok(false));
-        assert_eq!(c.try_is_superset(&b), Ok(true));
-        assert_eq!(c.try_difference_with(&b), Ok(false));
     }
 
     #[test]
@@ -848,13 +784,15 @@ mod tests {
             }
             changed
         }
-        let ops: [(&str, fn(u64, u64) -> u64); 4] = [
+        type WordOp = fn(u64, u64) -> u64;
+        type RowKernel = fn(&mut [u64], &[u64]) -> bool;
+        let ops: [(&str, WordOp); 4] = [
             ("union", |a, b| a | b),
             ("intersect", |a, b| a & b),
             ("difference", |a, b| a & !b),
             ("copy", |_, b| b),
         ];
-        let kernels: [fn(&mut [u64], &[u64]) -> bool; 4] = [
+        let kernels: [RowKernel; 4] = [
             union_rows,
             intersect_rows,
             difference_rows,

@@ -35,30 +35,3 @@ impl fmt::Display for SolverDiverged {
 }
 
 impl Error for SolverDiverged {}
-
-/// Two bit-vector shapes that were required to agree did not.
-///
-/// Returned by the checked (`try_`) constructors and set operations; the
-/// panicking variants raise the same message via `panic!`. Both forms are
-/// active in release builds.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct ShapeMismatch {
-    /// What was being matched (e.g. `"one transfer function per block"`).
-    pub context: &'static str,
-    /// The required size.
-    pub expected: usize,
-    /// The size actually supplied.
-    pub found: usize,
-}
-
-impl fmt::Display for ShapeMismatch {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} required: expected {}, found {}",
-            self.context, self.expected, self.found
-        )
-    }
-}
-
-impl Error for ShapeMismatch {}

@@ -76,7 +76,7 @@ pub use bitset::{
     copy_row_changed, count_row, difference_rows, intersect_rows, row_contains, row_is_empty,
     union_rows, BitIter, BitSet, WIDE_ROW_WORDS,
 };
-pub use error::{ShapeMismatch, SolverDiverged};
+pub use error::SolverDiverged;
 pub use problem::{Confluence, Direction, Problem, Solution, Transfer};
 pub use solver::{DeltaSolveInfo, SolveStrategy, SolverScratch};
 pub use stats::SolveStats;

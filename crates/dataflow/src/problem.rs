@@ -4,7 +4,6 @@ use lcm_ir::{EdgeList, Function};
 
 use crate::bitmatrix::BitMatrix;
 use crate::bitset::BitSet;
-use crate::error::ShapeMismatch;
 use crate::stats::SolveStats;
 
 /// The direction information flows in.
@@ -88,8 +87,7 @@ impl<'f> Problem<'f> {
     /// # Panics
     ///
     /// Panics if `transfer.len() != fun.num_blocks()` or any transfer set has
-    /// a capacity other than `nbits`. Use [`try_new`](Self::try_new) for a
-    /// recoverable error.
+    /// a capacity other than `nbits`.
     pub fn new(
         fun: &'f Function,
         nbits: usize,
@@ -97,42 +95,16 @@ impl<'f> Problem<'f> {
         confluence: Confluence,
         transfer: Vec<Transfer>,
     ) -> Self {
-        Self::try_new(fun, nbits, direction, confluence, transfer).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Like [`new`](Self::new), but returns a [`ShapeMismatch`] instead of
-    /// panicking when the transfer table does not fit the function.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `transfer.len() != fun.num_blocks()` or any
-    /// transfer set has a capacity other than `nbits`.
-    pub fn try_new(
-        fun: &'f Function,
-        nbits: usize,
-        direction: Direction,
-        confluence: Confluence,
-        transfer: Vec<Transfer>,
-    ) -> Result<Self, ShapeMismatch> {
-        if transfer.len() != fun.num_blocks() {
-            return Err(ShapeMismatch {
-                context: "one transfer function per block",
-                expected: fun.num_blocks(),
-                found: transfer.len(),
-            });
-        }
+        shape_check(
+            "one transfer function per block",
+            fun.num_blocks(),
+            transfer.len(),
+        );
         for t in &transfer {
-            for (set, what) in [(&t.gen, "gen capacity"), (&t.kill, "kill capacity")] {
-                if set.capacity() != nbits {
-                    return Err(ShapeMismatch {
-                        context: what,
-                        expected: nbits,
-                        found: set.capacity(),
-                    });
-                }
-            }
+            shape_check("gen capacity", nbits, t.gen.capacity());
+            shape_check("kill capacity", nbits, t.kill.capacity());
         }
-        Ok(Problem {
+        Problem {
             fun,
             nbits,
             direction,
@@ -142,7 +114,7 @@ impl<'f> Problem<'f> {
             edge_gen: None,
             name: "dataflow",
             sweep_bound: None,
-        })
+        }
     }
 
     /// Names the analysis; reported by
@@ -166,30 +138,11 @@ impl<'f> Problem<'f> {
     ///
     /// # Panics
     ///
-    /// Panics if the capacity differs from the problem's bit width. Use
-    /// [`try_with_boundary`](Self::try_with_boundary) for a recoverable
-    /// error.
-    pub fn with_boundary(self, boundary: BitSet) -> Self {
-        self.try_with_boundary(boundary)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Checked [`with_boundary`](Self::with_boundary).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the capacity differs from the problem's bit
-    /// width.
-    pub fn try_with_boundary(mut self, boundary: BitSet) -> Result<Self, ShapeMismatch> {
-        if boundary.capacity() != self.nbits {
-            return Err(ShapeMismatch {
-                context: "boundary capacity",
-                expected: self.nbits,
-                found: boundary.capacity(),
-            });
-        }
+    /// Panics if the capacity differs from the problem's bit width.
+    pub fn with_boundary(mut self, boundary: BitSet) -> Self {
+        shape_check("boundary capacity", self.nbits, boundary.capacity());
         self.boundary = boundary;
-        Ok(self)
+        self
     }
 
     /// Attaches per-edge gen sets (indexed by the `EdgeList`'s
@@ -198,43 +151,14 @@ impl<'f> Problem<'f> {
     /// # Panics
     ///
     /// Panics if `gens.len()` differs from the edge count or any capacity
-    /// differs from the problem's bit width. Use
-    /// [`try_with_edge_gen`](Self::try_with_edge_gen) for a recoverable
-    /// error.
-    pub fn with_edge_gen(self, edges: EdgeList, gens: Vec<BitSet>) -> Self {
-        self.try_with_edge_gen(edges, gens)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Checked [`with_edge_gen`](Self::with_edge_gen).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `gens.len()` differs from the edge count or any
-    /// capacity differs from the problem's bit width.
-    pub fn try_with_edge_gen(
-        mut self,
-        edges: EdgeList,
-        gens: Vec<BitSet>,
-    ) -> Result<Self, ShapeMismatch> {
-        if gens.len() != edges.len() {
-            return Err(ShapeMismatch {
-                context: "one gen set per edge",
-                expected: edges.len(),
-                found: gens.len(),
-            });
-        }
+    /// differs from the problem's bit width.
+    pub fn with_edge_gen(mut self, edges: EdgeList, gens: Vec<BitSet>) -> Self {
+        shape_check("one gen set per edge", edges.len(), gens.len());
         for g in &gens {
-            if g.capacity() != self.nbits {
-                return Err(ShapeMismatch {
-                    context: "edge gen capacity",
-                    expected: self.nbits,
-                    found: g.capacity(),
-                });
-            }
+            shape_check("edge gen capacity", self.nbits, g.capacity());
         }
         self.edge_gen = Some((edges, gens));
-        Ok(self)
+        self
     }
 
     /// The function this problem is defined over.
@@ -252,6 +176,15 @@ impl<'f> Problem<'f> {
     pub fn name(&self) -> &'static str {
         self.name
     }
+}
+
+/// Panics with `"{context} required: expected {expected}, found {found}"`
+/// unless the two sizes agree. Active in release builds.
+fn shape_check(context: &str, expected: usize, found: usize) {
+    assert!(
+        expected == found,
+        "{context} required: expected {expected}, found {found}"
+    );
 }
 
 /// The fixpoint of a [`Problem`]: per-block entry and exit values plus the

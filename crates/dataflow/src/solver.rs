@@ -525,42 +525,18 @@ impl Problem<'_> {
     /// Checked [`solve`](Self::solve): returns [`SolverDiverged`] instead of
     /// panicking when the sweep budget is exhausted.
     ///
-    /// # Errors
-    ///
-    /// Returns [`SolverDiverged`] if the fixpoint iteration exceeds the
-    /// sweep budget (see [`with_sweep_bound`](Self::with_sweep_bound)).
-    pub fn try_solve(&self) -> Result<Solution, SolverDiverged> {
-        self.try_solve_in(&CfgView::new(self.fun))
-    }
-
-    /// Like [`solve`](Self::solve), but reuses a precomputed [`CfgView`].
-    ///
     /// For rapid gen/kill frameworks like the ones here this converges in
     /// `d + 2` sweeps where `d` is the loop-connectedness of the CFG — the
     /// classical result underlying the paper's "as cheap as unidirectional
     /// analyses" complexity claim.
     ///
-    /// # Panics
-    ///
-    /// Panics if `view` was built for a different-shaped function, or if
-    /// the sweep budget is exhausted.
-    pub fn solve_in(&self, view: &CfgView) -> Solution {
-        self.try_solve_in(view).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Checked [`solve_in`](Self::solve_in).
-    ///
     /// # Errors
     ///
     /// Returns [`SolverDiverged`] if the fixpoint iteration exceeds the
-    /// sweep budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `view` was built for a different-shaped function (that is
-    /// a structural misuse of the API, not a data-dependent failure).
-    pub fn try_solve_in(&self, view: &CfgView) -> Result<Solution, SolverDiverged> {
-        self.try_solve_with(SolveStrategy::RoundRobin, view, &mut SolverScratch::new())
+    /// sweep budget (see [`with_sweep_bound`](Self::with_sweep_bound)).
+    pub fn try_solve(&self) -> Result<Solution, SolverDiverged> {
+        let view = CfgView::new(self.fun);
+        self.try_solve_with(SolveStrategy::RoundRobin, &view, &mut SolverScratch::new())
     }
 
     fn run_round_robin(
@@ -995,7 +971,8 @@ mod tests {
                 transfer[body.index()].kill.insert(2);
                 let p = Problem::new(&f, 4, direction, confluence, transfer);
                 let fresh = p.solve();
-                let shared = p.solve_in(&view);
+                let shared =
+                    p.solve_with(SolveStrategy::RoundRobin, &view, &mut SolverScratch::new());
                 assert_eq!(fresh.ins, shared.ins);
                 assert_eq!(fresh.outs, shared.outs);
                 let scc =
@@ -1494,6 +1471,7 @@ mod tests {
         let g = parse_function("fn tiny {\n entry:\n ret\n }").unwrap();
         let transfer = vec![Transfer::identity(1); f.num_blocks()];
         let p = Problem::new(&f, 1, Direction::Forward, Confluence::May, transfer);
-        let _ = p.solve_in(&CfgView::new(&g));
+        let view = CfgView::new(&g);
+        let _ = p.solve_with(SolveStrategy::RoundRobin, &view, &mut SolverScratch::new());
     }
 }

@@ -9,7 +9,6 @@ use lcm_ir::{graph, BlockId, Function};
 /// *same* CFG, so recomputing them per solve (as
 /// [`Problem::solve`](crate::Problem::solve) does when called standalone) is
 /// pure waste. Build a `CfgView` once per function and pass it to
-/// [`Problem::solve_in`](crate::Problem::solve_in) /
 /// [`Problem::solve_with`](crate::Problem::solve_with).
 ///
 /// The view is a snapshot: it must not be used after the function's CFG is

@@ -231,8 +231,8 @@ pub fn fingerprint_with_context(f: &Function, context: &str) -> (u128, String) {
 
 /// The key half of [`fingerprint_with_context`], hashed while printing:
 /// the same bytes go through the same FNV-1a, so the key is the same, but
-/// no text is built. For callers that compare keys and never need the
-/// text (the zero-dirty memo check).
+/// no text is built. For callers that need the key and never the text
+/// (the watch cycle's retained state).
 pub fn fingerprint_key(f: &Function, context: &str) -> u128 {
     let mut h = Fnv1a128::default();
     f.write_named(CANONICAL_NAME, &mut h)

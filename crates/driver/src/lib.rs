@@ -88,9 +88,12 @@ pub struct BatchOptions {
     pub validate: ValidationLevel,
     /// Seed for the validator's differential execution.
     pub seed: u64,
-    /// Whether the plan cache is consulted and filled.
+    /// Whether the plan cache is consulted and filled. Only batch runs and
+    /// the serve daemon use the cache; the incremental cycle of
+    /// [`BatchEngine::run_module_incremental`] neither reads nor fills it.
     pub use_cache: bool,
-    /// Plan-cache capacity in entries; `0` means unbounded.
+    /// Plan-cache capacity in entries; `0` means unbounded. Like
+    /// `use_cache`, it matters only to batch runs and the daemon.
     pub cache_capacity: usize,
     /// Which fixpoint solver the fused pipeline runs. Every strategy
     /// reaches the same fixpoints, so this never changes any output — only
@@ -317,21 +320,24 @@ struct PersistState {
 
 /// The retained fixpoint for one function name — what the incremental hot
 /// path ([`BatchEngine::run_module_incremental`] and the serve daemon)
-/// delta-solves against on the next edit of the same function, tagged
-/// with the cache fingerprint of the input it was computed from so
-/// staleness is detectable.
+/// delta-solves against on the next edit of the same function, with the
+/// output it produced.
 #[derive(Debug)]
 pub struct PrevSolve {
     /// Fingerprint (with placement context) of the pre-LCSE input the
-    /// state was computed from.
+    /// state was computed from. No engine path reads it: a retained output
+    /// is replayed only through the span memo, which keys on section
+    /// bytes. It stays because the benchmark builds `PrevSolve` field by
+    /// field; deleting it waits for the benchmark's move onto the real
+    /// entry points (ROADMAP item 1).
     pub key: u128,
     /// The retained universe, local predicates, and AVAIL/ANTIC/LATER
     /// fixpoints over the post-LCSE canonical function.
     pub state: IncrementalState,
     /// The canonical printed output the state produced — the zero-dirty
-    /// memo. A revision whose fingerprint equals `key` under the same
-    /// `opts_tag` replays this text verbatim, skipping plan, rewrite,
-    /// validation, and printing entirely.
+    /// memo. The span memo retained beside it replays this text verbatim
+    /// for a byte-identical section under the same `opts_tag`, skipping
+    /// verification, plan, rewrite, validation, and printing entirely.
     pub output_text: String,
     /// Fingerprint of every output-affecting engine option
     /// ([`options_tag`]) at the time the memo was recorded. Any placement,
@@ -340,12 +346,12 @@ pub struct PrevSolve {
     pub opts_tag: String,
 }
 
-/// The first memo level, retained beside the [`PrevSolve`] it was minted
+/// The one memo level, retained beside the [`PrevSolve`] it was minted
 /// with: the raw `fn` section text ([`Module::source`]) the retained state
 /// answered, and — under [`PreAlgorithm::Speculative`] — the profile that
 /// came with it. A revision whose section is byte-identical, under the
 /// same options and profile, replays the retained output before `verify`
-/// or a fingerprint runs.
+/// or a fingerprint runs. Any other revision is verified and solved.
 #[derive(Debug)]
 struct SpanMemo {
     text: Box<str>,
@@ -356,15 +362,12 @@ impl SpanMemo {
     /// The span memo for section text `text` with `profile`: the profile
     /// is kept only under speculative placement, the one placement whose
     /// output it can change.
-    fn new(placement: PreAlgorithm, text: &str, profile: Option<&Profile>) -> Self {
+    fn new(placement: PreAlgorithm, text: Box<str>, profile: Option<&Profile>) -> Self {
         let profile = match placement {
             PreAlgorithm::Speculative => profile.cloned(),
             _ => None,
         };
-        SpanMemo {
-            text: text.into(),
-            profile,
-        }
+        SpanMemo { text, profile }
     }
 }
 
@@ -407,8 +410,10 @@ pub struct EditClassCounters {
     pub shape_mapped: u64,
     /// Edits beyond the mapped shapes: the full-solve fallback.
     pub fallback: u64,
-    /// Identical revisions answered by the output memo with no solve at
-    /// all.
+    /// Revisions whose `fn` section bytes were identical, answered by the
+    /// span memo with no verification, fingerprint or solve at all. A
+    /// parse-identical edit (whitespace, a comment) is solved, and counts
+    /// in its solved class.
     pub zero_dirty: u64,
 }
 
@@ -469,10 +474,13 @@ pub enum IncrementalMode {
     /// edits, forcing the full-solve fallback (the state was refreshed
     /// either way).
     Fallback,
-    /// The revision is identical (same section bytes, or same fingerprint,
-    /// under the same options) to the one the retained state answered: the
-    /// output memo was replayed with no solve, rewrite, validation, or
-    /// printing work at all.
+    /// The revision's `fn` section bytes are identical, under the same
+    /// options (and, under speculative placement, the same profile), to the
+    /// section the retained state answered: the span memo replayed its
+    /// output with no verification, solve, rewrite, validation, or printing
+    /// work at all. A parse-identical edit, or a function built without
+    /// section text, is solved instead — a [`IncrementalMode::Delta`] with
+    /// zero dirty blocks.
     ZeroDirty,
     /// The placement is not [`incremental_eligible`]; the unit ran the
     /// ordinary one-shot pipeline with no state retention.
@@ -612,26 +620,13 @@ impl BatchEngine {
     }
 
     /// Removes and returns the retained fixpoint for `name`, if any. The
-    /// take/put split (instead of borrowing in place) lets a daemon worker
-    /// release the engine lock while it delta-solves; a concurrent unit of
-    /// the same name simply finds no state and solves fresh. The span memo
-    /// retained with it is dropped: a span lives only beside the state it
-    /// was minted with.
-    pub fn take_prev_solve(&mut self, name: &str) -> Option<PrevSolve> {
+    /// take-then-retain split (instead of borrowing in place) lets a daemon
+    /// worker release the engine lock while it delta-solves; a concurrent
+    /// unit of the same name simply finds no state and solves fresh. The
+    /// span memo retained with it is dropped: a span lives only beside the
+    /// state it was minted with.
+    pub(crate) fn take_prev_solve(&mut self, name: &str) -> Option<PrevSolve> {
         self.retained.remove(name).map(|r| r.prev)
-    }
-
-    /// Retains `prev` as the fixpoint to delta-solve `name`'s next
-    /// revision against, replacing any earlier state for that name. No span
-    /// memo is stored with it, so the next revision reaches at least the
-    /// fingerprint memo.
-    pub fn put_prev_solve(&mut self, name: &str, prev: PrevSolve) {
-        self.retain(name, prev, None);
-    }
-
-    fn retain(&mut self, name: &str, prev: PrevSolve, span: Option<SpanMemo>) {
-        self.retained
-            .insert(name.to_string(), Retained { prev, span });
     }
 
     /// Retained fixpoint entries currently held.
@@ -722,13 +717,14 @@ impl BatchEngine {
     /// cycle: when `m` came from [`parse_module`](lcm_ir::parse_module), a
     /// function whose section text ([`Module::source`]) is byte-identical
     /// to the one its retained state answered replays that output at once,
-    /// with no verification and no fingerprint. Every other unit is
-    /// verified and fingerprinted, then takes either the fingerprint-keyed
-    /// zero-dirty memo replay or a solve against the retained fixpoints
+    /// with no verification and no fingerprint — the one memo level. Every
+    /// other unit is verified and solved against the retained fixpoints
     /// ([`PrevSolve`]) — a delta, a fresh solve on first sight, or the full
-    /// fallback past the mapped shape edits — then the ledger, the retained
-    /// state and the plan cache are updated. Functions whose placement is
-    /// not [`incremental_eligible`] run the one-shot pipeline instead.
+    /// fallback past the mapped shape edits — then the ledger and the
+    /// retained state are updated. Functions whose placement is not
+    /// [`incremental_eligible`] run the one-shot pipeline instead. The
+    /// plan cache is neither read nor filled: it belongs to batch runs and
+    /// the serve daemon.
     ///
     /// Per-unit output text is byte-identical to [`BatchEngine::run_module`]
     /// for the same input and options, at every placement and validation
@@ -782,27 +778,25 @@ impl BatchEngine {
             return unaccounted_unit(f, outcome, IncrementalMode::OneShot);
         }
         let key = fingerprint_key(f, &context);
-        let mut span = span.map(|text| SpanMemo::new(self.opts.placement, text, profile));
-        if let Some(replayed) = self.replay_memo(f, key, opts_tag, &mut span) {
-            return replayed;
-        }
+        let span = span.map(|text| SpanMemo::new(self.opts.placement, text.into(), profile));
         let prev = self.take_prev_solve(&f.name);
         let step = PreStep::Incremental(prev.as_ref().map(|p| &p.state));
         let computed = isolate(AssertUnwindSafe(|| {
             optimize_unit(f, &self.opts, None, &context, step, scratch)
         }));
         self.finish_incremental(f, key, opts_tag, prev.is_some(), computed, span)
+            .0
     }
 
-    /// The span memo, the first step of the incremental cycle, before
-    /// `verify` and the fingerprint: when `span`, the raw text of `f`'s
-    /// `fn` section, is byte-identical to the section whose state is
-    /// retained for `f`'s name, under the same options (`opts_tag`) and —
-    /// under speculative placement — the same profile, the retained output
-    /// is replayed and counted as a zero-dirty edit. A span is recorded only
-    /// for a function that verified and took the incremental path, and
-    /// parsing a section depends on its bytes alone, so the replayed answer
-    /// is the one this revision would compute.
+    /// The span memo, the first step of the incremental cycle and its only
+    /// memo level, before `verify` and the fingerprint: when `span`, the
+    /// raw text of `f`'s `fn` section, is byte-identical to the section
+    /// whose state is retained for `f`'s name, under the same options
+    /// (`opts_tag`) and — under speculative placement — the same profile,
+    /// the retained output is replayed and counted as a zero-dirty edit. A
+    /// span is recorded only for a function that verified and took the
+    /// incremental path, and parsing a section depends on its bytes alone,
+    /// so the replayed answer is the one this revision would compute.
     fn replay_span(
         &mut self,
         f: &Function,
@@ -825,44 +819,14 @@ impl BatchEngine {
         Some(unaccounted_unit(f, Ok(output), IncrementalMode::ZeroDirty))
     }
 
-    /// The zero-dirty memo, the second memo level: when the state retained
-    /// for `f`'s name answered exactly this revision (fingerprint `key`)
-    /// under the current options (`opts_tag`, the engine's
-    /// [`options_tag`]), its output is replayed with no solve, rewrite,
-    /// validation, or printing at all, and the replay is counted in the
-    /// edit ledger. A *dirty* function can never match — the fingerprint
-    /// covers the whole canonical body — and an option change invalidates
-    /// via the tag. It answers edits the span memo misses (whitespace or
-    /// comments) and functions built without source text. On a replay,
-    /// `span` (if any) is moved in as the entry's span memo: `f` verified
-    /// and answers to the same state, so its next identical revision
-    /// replays at the first level.
-    fn replay_memo(
-        &mut self,
-        f: &Function,
-        key: u128,
-        opts_tag: &str,
-        span: &mut Option<SpanMemo>,
-    ) -> Option<IncrementalUnit> {
-        let r = self.retained.get_mut(&f.name)?;
-        if r.prev.key != key || r.prev.opts_tag != opts_tag {
-            return None;
-        }
-        if let Some(span) = span.take() {
-            r.span = Some(span);
-        }
-        let output = cache::with_name(&r.prev.output_text, &f.name);
-        self.edit_classes.zero_dirty += 1;
-        Some(unaccounted_unit(f, Ok(output), IncrementalMode::ZeroDirty))
-    }
-
     /// The last step of the incremental cycle, after the solve (which a
     /// daemon runs with the engine unlocked): classifies the unit, counts
-    /// it in the delta and edit-class ledgers and the phase totals,
+    /// it in the delta and edit-class ledgers and the phase totals, and
     /// retains its fixpoints and output memo under `key` and `opts_tag` —
     /// with `span`, the unit's span memo, if it came from module text — for
-    /// the next revision, and fills the plan cache. `had_prev` says whether
-    /// the solve ran against retained state.
+    /// the next revision. `had_prev` says whether the solve ran against
+    /// retained state. The computed cache entry is handed back: the daemon
+    /// fills its plan cache with it, the watch cycle drops it.
     fn finish_incremental(
         &mut self,
         f: &Function,
@@ -871,10 +835,10 @@ impl BatchEngine {
         had_prev: bool,
         computed: Result<UnitRun, UnitError>,
         span: Option<SpanMemo>,
-    ) -> IncrementalUnit {
+    ) -> (IncrementalUnit, Option<CacheEntry>) {
         let run = match computed {
             Ok(run) => run,
-            Err(e) => return unaccounted_unit(f, Err(e), IncrementalMode::Fresh),
+            Err(e) => return (unaccounted_unit(f, Err(e), IncrementalMode::Fresh), None),
         };
         let (state, stats) = run
             .retained
@@ -900,18 +864,17 @@ impl BatchEngine {
             output_text: run.entry.output_text.clone(),
             opts_tag: opts_tag.to_string(),
         };
-        self.retain(&f.name, prev, span);
-        if self.opts.use_cache {
-            self.cache.insert(key, run.entry);
-        }
-        IncrementalUnit {
+        self.retained
+            .insert(f.name.clone(), Retained { prev, span });
+        let unit = IncrementalUnit {
             name: f.name.clone(),
             outcome: Ok(output),
             mode,
             stats,
             blocks: f.num_blocks(),
             phases: run.phases,
-        }
+        };
+        (unit, Some(run.entry))
     }
 
     /// Optimizes `units` as one batch. See the crate docs for the phase

@@ -95,7 +95,7 @@ pub struct LifetimeCounters {
     /// Blocks actually re-solved across those incremental hits — the
     /// "charged only for what changed" bill, lifetime.
     pub delta_blocks_resolved: u64,
-    /// Identical revisions answered by the zero-dirty output memo (no
+    /// Byte-identical `fn` sections answered by the span memo (no
     /// solve, rewrite, validation, or print work at all), lifetime.
     pub zero_dirty_hits: u64,
     /// Same-shape, same-universe content edits delta-solved, lifetime.

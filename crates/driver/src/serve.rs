@@ -46,7 +46,7 @@ use std::time::{Duration, Instant};
 
 use lcm_core::{EdgeWeights, OptimizeBudget, PreAlgorithm};
 use lcm_dataflow::SolverScratch;
-use lcm_ir::{verify, Function};
+use lcm_ir::{verify, Function, Profile};
 
 use crate::protocol::{
     self, decode_request, read_frame, write_response, FrameError, Request, Response, ERR_BAD_FRAME,
@@ -378,7 +378,7 @@ fn worker_loop(core: &Arc<Core>) {
 
 /// Optimizes one unit: budget check, span memo, cache lookup (with
 /// re-validation), compute on miss, cache fill.
-fn process_job(core: &Arc<Core>, scratch: &mut SolverScratch, mut job: UnitJob) -> Response {
+fn process_job(core: &Arc<Core>, scratch: &mut SolverScratch, job: UnitJob) -> Response {
     if job.cancel.load(Ordering::Relaxed) {
         return unit_err_response(
             job.index,
@@ -424,27 +424,17 @@ fn process_job(core: &Arc<Core>, scratch: &mut SolverScratch, mut job: UnitJob) 
 
     let (key, text) = fingerprint_with_context(&job.function, &job.context);
 
-    // The zero-dirty memo is checked *before* the plan cache: the memo was
-    // validated when it was produced in this very process, so a hit skips
-    // even re-validation.
-    let cached: Option<CacheEntry> = {
+    let cached: Option<CacheEntry> = if opts.use_cache {
         let mut engine = core.engine.lock().expect("engine lock");
-        if incremental {
-            if let Some(unit) = engine.replay_memo(&job.function, key, &opts_tag, &mut job.span) {
-                return unit_response(job.index, unit);
-            }
-        }
-        if opts.use_cache {
-            let entry = engine.cache().get(key, &text).cloned();
-            if entry.is_some() {
-                engine.cache_mut().note_hit();
-            } else {
-                engine.cache_mut().note_miss();
-            }
-            entry
+        let entry = engine.cache().get(key, &text).cloned();
+        if entry.is_some() {
+            engine.cache_mut().note_hit();
         } else {
-            None
+            engine.cache_mut().note_miss();
         }
+        entry
+    } else {
+        None
     };
 
     if let Some(entry) = &cached {
@@ -493,8 +483,11 @@ fn process_job(core: &Arc<Core>, scratch: &mut SolverScratch, mut job: UnitJob) 
         }));
         let mut engine = core.engine.lock().expect("engine lock");
         let had_prev = prev.is_some();
-        let unit =
+        let (unit, entry) =
             engine.finish_incremental(&job.function, key, &opts_tag, had_prev, computed, job.span);
+        if let (true, Some(entry)) = (opts.use_cache, entry) {
+            engine.cache_mut().insert(key, entry);
+        }
         return unit_response(job.index, unit);
     }
 
@@ -650,33 +643,23 @@ fn handle_optimize(
             );
         }
     };
-    let functions: Vec<Function> = parsed.iter().cloned().collect();
-    let n = functions.len();
+    let n = parsed.len();
     let placement = core.opts.batch.placement;
 
-    // Resolve profiles exactly as the batch engine does, so a daemon
-    // answer is the batch answer.
-    let weights: Vec<Option<EdgeWeights>> = functions
+    // Resolve profiles by name before the module is taken apart: edge
+    // weights exactly as the batch engine resolves them, so a daemon
+    // answer is the batch answer, and the profile a span memo keeps — only
+    // under speculative placement, as `SpanMemo::new` keeps it.
+    let resolved: Vec<(Option<EdgeWeights>, Option<Profile>)> = parsed
         .iter()
         .map(|f| {
-            if placement == PreAlgorithm::Speculative {
-                parsed
-                    .profile(&f.name)
-                    .and_then(|p| EdgeWeights::from_profile(f, p).ok())
-            } else {
-                None
-            }
-        })
-        .collect();
-
-    let spans: Vec<Option<SpanMemo>> = functions
-        .iter()
-        .enumerate()
-        .map(|(i, f)| {
             let profile = parsed.profile(&f.name);
-            parsed
-                .source(i)
-                .map(|text| SpanMemo::new(placement, text, profile))
+            if placement == PreAlgorithm::Speculative {
+                let weights = profile.and_then(|p| EdgeWeights::from_profile(f, p).ok());
+                (weights, profile.cloned())
+            } else {
+                (None, None)
+            }
         })
         .collect();
 
@@ -699,13 +682,16 @@ fn handle_optimize(
             );
         }
         q.outstanding += n;
-        for (i, (f, span)) in functions.into_iter().zip(spans).enumerate() {
-            let context = unit_context(placement, weights[i].as_ref());
+        for (i, ((f, source), (weights, profile))) in
+            parsed.into_sections().zip(resolved).enumerate()
+        {
+            let context = unit_context(placement, weights.as_ref());
+            let span = source.map(|text| SpanMemo { text, profile });
             q.jobs.push_back(UnitJob {
                 index: i as u32,
                 name: f.name.clone(),
                 function: f,
-                weights: weights[i].clone(),
+                weights,
                 context,
                 span,
                 deadline,

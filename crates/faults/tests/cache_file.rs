@@ -195,7 +195,7 @@ fn batch_engine_survives_every_fault_with_identical_answers() {
         // quarantine is remembered in the lifetime counters.
         engine.flush_cache_file().unwrap();
         let (reloaded, counters) = load_cache(&path, 0).unwrap();
-        assert!(reloaded.len() > 0);
+        assert!(!reloaded.is_empty());
         assert_eq!(counters.quarantines, 1);
     }
 }
@@ -211,7 +211,7 @@ fn stray_tmp_file_never_shadows_the_cache() {
     std::fs::write(&tmp, b"half-written garbage").unwrap();
     let (cache, _, status) = load_or_quarantine(&path, 0);
     assert!(matches!(status, LoadStatus::Loaded { .. }), "{status:?}");
-    assert!(cache.len() > 0);
+    assert!(!cache.is_empty());
     save_cache(&path, &cache, LifetimeCounters::default()).unwrap();
     assert!(!tmp.exists(), "save must consume the tmp staging file");
     load_cache(&path, 0).unwrap();

@@ -75,7 +75,7 @@ fn pinned_poison_is_refused_by_the_validator() {
 fn poisoned_prev_solve_is_caught_or_harmless_never_silently_wrong() {
     let mut caught = 0usize;
     let mut harmless = 0usize;
-    for (i, f) in corpus(0x9015_0ED, 12, &GenOptions::default())
+    for (i, f) in corpus(0x0901_50ED, 12, &GenOptions::default())
         .iter()
         .enumerate()
     {

@@ -128,6 +128,13 @@ impl Module {
         self.sources.get(i)?.as_deref()
     }
 
+    /// Takes the module apart: each function in source order, moved out
+    /// with its [`Module::source`] text. The profiles are dropped; look
+    /// them up by name first.
+    pub fn into_sections(self) -> impl Iterator<Item = (Function, Option<Box<str>>)> {
+        self.functions.into_iter().zip(self.sources)
+    }
+
     /// The profiles in source order.
     pub fn profiles(&self) -> &[Profile] {
         &self.profiles
@@ -294,6 +301,20 @@ entry:
         let built = Module::new(m.functions().to_vec());
         assert_eq!(built.source(0), None);
         assert_eq!(built, parse_module(TWO).unwrap());
+    }
+
+    #[test]
+    fn into_sections_yields_each_function_with_its_source() {
+        let text = format!("{TWO}\n\nprofile second {{\n}}\n");
+        let parsed = parse_module(&text).unwrap();
+        let built = Module::new(parsed.functions().to_vec());
+        for (m, from_text) in [(parsed, true), (built, false)] {
+            let want: Vec<_> = (0..m.len())
+                .map(|i| (m.functions()[i].clone(), m.source(i).map(Box::from)))
+                .collect();
+            assert!(want.iter().all(|(_, s)| s.is_some() == from_text));
+            assert_eq!(m.into_sections().collect::<Vec<_>>(), want);
+        }
     }
 
     #[test]

@@ -1121,9 +1121,8 @@ fn run_watch(cli: WatchCli) -> Result<(), Failure> {
         placement: cli.placement,
         validate: cli.validate,
         seed: VALIDATION_SEED,
-        use_cache: true,
-        cache_capacity: 4096,
         strategy: cli.solver,
+        ..BatchOptions::default()
     };
     let mut engine = BatchEngine::new(opts);
     // The initial revision must load: a watch on a missing or broken file

@@ -2,8 +2,8 @@
 //! small seeded corpus, with an empty placement context and with a
 //! speculative `spec entry=…` context.
 //!
-//! The keys address the in-process plan cache, the zero-dirty memo and
-//! persisted `lcm-cache-v1` files. A printer or fingerprint change that
+//! The keys address the in-process plan cache and persisted
+//! `lcm-cache-v1` files. A printer or fingerprint change that
 //! moves any of them would silently turn every existing cache file into
 //! misses, so the 128-bit values are hard-coded here. The key hashed while
 //! printing ([`fingerprint_key`]) must equal the key of the printed text.

@@ -53,8 +53,10 @@ fn safety_analyses_match_the_figure() {
     let ga = GlobalAnalyses::compute(&f, &uni, &local).unwrap();
 
     // One row per block: ANTLOC, COMP, TRANSP, AVIN, AVOUT, ANTIN, ANTOUT.
+    type Row = (&'static str, Set, Set, Set, Set, Set, Set, Set);
+    type Set = &'static [usize];
     #[rustfmt::skip]
-    let golden: &[(&str, &[usize], &[usize], &[usize], &[usize], &[usize], &[usize], &[usize])] = &[
+    let golden: &[Row] = &[
         ("entry",   &[],         &[],        FULL,            &[],       &[],        FULL,       FULL),
         ("exit",    &[],         &[],        FULL,            &[AB, OR], &[AB, OR],  &[],        &[]),
         ("cond",    &[],         &[],        FULL,            &[],       &[],        FULL,       FULL),

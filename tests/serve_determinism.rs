@@ -1,6 +1,7 @@
 //! Determinism and robustness-pillar tests for the `lcmopt serve` daemon:
 //! daemon answers are byte-identical to `lcmopt batch` answers — cold,
-//! warm from a persisted cache, and after a quarantine — and the watchdog
+//! from the span memo, from a re-validated plan-cache hit, warm from a
+//! persisted cache, and after a quarantine — and the watchdog
 //! and admission-control pillars produce their typed responses without
 //! costing the connection — and a daemon fed an edit stream keeps the same
 //! incremental ledger as `lcmopt watch` fed the same stream.
@@ -127,10 +128,21 @@ fn daemon_answers_match_batch_at_any_worker_count() {
             "workers={workers}: {responses:?}"
         );
         assert_eq!(assemble(&responses), want, "workers={workers}");
-        // Same connection, second request: the cache now answers, and the
+        // Same connection, second request: the span memo answers, and the
         // bytes must not change.
         let (responses, _) = roundtrip(&d, &optimize_request(MODULE, 0, 0));
         assert_eq!(assemble(&responses), want, "workers={workers} (cached)");
+        // A comment inside `d`: its span memo misses, and the plan cache
+        // answers the parse-identical function, re-validated, with the
+        // same bytes.
+        let cache = "cache: 0 hits, 3 misses, 0 evictions, 3 entries";
+        assert_eq!(stats_line(&d, "cache: "), cache, "workers={workers}");
+        let commented = MODULE.replace("  y = a + b\n", "  y = a + b # recomputed\n");
+        assert_ne!(commented, MODULE);
+        let (responses, _) = roundtrip(&d, &optimize_request(&commented, 0, 0));
+        assert_eq!(assemble(&responses), want, "workers={workers} (comment)");
+        let cache = "cache: 1 hits, 3 misses, 0 evictions, 3 entries";
+        assert_eq!(stats_line(&d, "cache: "), cache, "workers={workers}");
         assert_eq!(d.panics_contained(), 0);
         d.shutdown().unwrap();
     }

@@ -4,14 +4,17 @@
 //! actually changed — fresh on first sight, an SCC-scoped delta on a
 //! content edit (re-solving strictly fewer block rows than a full solve),
 //! a *mapped* delta on a recognized one-block shape edit, and a zero-dirty
-//! memo replay for functions the revision didn't touch at all — by their
-//! section bytes when the module came from text, by their fingerprint
-//! otherwise.
+//! memo replay for functions whose `fn` section bytes the revision didn't
+//! touch at all. The span memo is the only memo level: a parse-identical
+//! edit, or a function built without section text, is a delta solve with
+//! nothing dirty. The watch cycle never uses the plan cache, which belongs
+//! to batch runs and the serve daemon.
 
 use lcm::cfggen::{corpus, mutate_function, seeded, synthetic_profile, GenOptions};
 use lcm::core::{PreAlgorithm, ValidationLevel};
 use lcm::driver::{
     report, BatchEngine, BatchOptions, EditClassCounters, FailureKind, IncrementalMode,
+    IncrementalUnit,
 };
 use lcm::ir::{parse_module, Module};
 
@@ -168,6 +171,8 @@ fn modes_and_delta_accounting_track_what_changed() {
     assert_eq!(watch.edit_classes().shape_mapped, 1);
     assert_eq!(watch.edit_classes().zero_dirty, 2);
     assert_eq!(watch.edit_classes().fallback, 0);
+    // Watch never fills the plan cache.
+    assert_eq!(watch.cache().len(), 0);
 }
 
 /// REV0, the speculative golden loop and a few generated functions; with
@@ -200,8 +205,9 @@ fn every_placement_and_tier_matches_one_shot_batches() {
     placements.push((PreAlgorithm::Speculative, true));
     placements.push((PreAlgorithm::Speculative, false));
     for (placement, profiled) in placements {
-        // Built through the API, and printed and parsed back, so both memo
-        // levels answer the second revision.
+        // Built through the API, and printed and parsed back: the span
+        // memo answers the parsed module's second revision, a delta solve
+        // with nothing dirty the API-built one's.
         let built = parity_module(profiled);
         let text = reparsed(&built);
         let tiers = [
@@ -234,7 +240,9 @@ fn every_placement_and_tier_matches_one_shot_batches() {
                 "{tag}, first"
             );
             // The second revision is byte-identical: every incremental
-            // unit replays its memo, every other unit reruns one-shot.
+            // unit replays its span memo (or, built without section text,
+            // delta-solves with nothing dirty), every other unit reruns
+            // one-shot.
             let second = watch.run_module_incremental(m);
             assert_eq!(
                 report::render_incremental_text(&second),
@@ -244,9 +252,12 @@ fn every_placement_and_tier_matches_one_shot_batches() {
             for (a, b) in first.iter().zip(&second) {
                 let want_mode = match a.mode {
                     IncrementalMode::OneShot => IncrementalMode::OneShot,
-                    _ => IncrementalMode::ZeroDirty,
+                    _ if from_text => IncrementalMode::ZeroDirty,
+                    _ => IncrementalMode::Delta,
                 };
                 assert_eq!(b.mode, want_mode, "{tag}: fn {}", b.name);
+                assert_eq!(b.stats.dirty_blocks, 0, "{tag}: fn {}", b.name);
+                assert_eq!(b.stats.delta_blocks_resolved, 0, "{tag}: fn {}", b.name);
             }
             // Plain LCM is incremental; so are the speculative units with
             // no profile to speculate on.
@@ -255,7 +266,7 @@ fn every_placement_and_tier_matches_one_shot_batches() {
                 PreAlgorithm::LazyEdge | PreAlgorithm::Speculative
             );
             assert_eq!(
-                second.iter().any(|u| u.mode == IncrementalMode::ZeroDirty),
+                second.iter().any(|u| u.mode != IncrementalMode::OneShot),
                 incremental,
                 "{tag}"
             );
@@ -266,6 +277,11 @@ fn every_placement_and_tier_matches_one_shot_batches() {
 /// Runs one revision through `watch` and checks it against a cold one-shot
 /// batch of the same text; returns the per-unit modes.
 fn revise(watch: &mut BatchEngine, text: &str) -> Vec<IncrementalMode> {
+    revise_units(watch, text).iter().map(|u| u.mode).collect()
+}
+
+/// [`revise`], returning the units themselves.
+fn revise_units(watch: &mut BatchEngine, text: &str) -> Vec<IncrementalUnit> {
     let m = parse_module(text).expect("revision parses");
     let units = watch.run_module_incremental(&m);
     let mut fresh = BatchEngine::new(BatchOptions {
@@ -277,24 +293,31 @@ fn revise(watch: &mut BatchEngine, text: &str) -> Vec<IncrementalMode> {
         report::render_text(&fresh.run_module(&m)),
         "revision diverged from the one-shot answer:\n{text}"
     );
-    units.iter().map(|u| u.mode).collect()
+    units
 }
 
 #[test]
-fn a_span_miss_falls_through_to_the_fingerprint_memo() {
+fn a_parse_identical_edit_is_a_delta_with_nothing_dirty() {
     use IncrementalMode::{Delta, Fresh, ZeroDirty};
     let mut watch = BatchEngine::new(BatchOptions::default());
     assert_eq!(revise(&mut watch, REV0), [Fresh, Fresh]);
     assert_eq!(revise(&mut watch, REV0), [ZeroDirty, ZeroDirty]);
     // Whitespace and a comment inside `d`: its bytes changed, so the span
-    // memo misses, but it parses to the same function and the fingerprint
-    // memo replays it. The replay re-keys the span memo on the new bytes.
+    // memo misses and `d` is verified and solved. It parses to the same
+    // function, so the delta finds nothing dirty and re-solves no row;
+    // the span memo is re-keyed on the new bytes.
     let spaced = REV0.replace("  obs y\n", "  obs   y   # observed\n\n");
-    assert_eq!(revise(&mut watch, &spaced), [ZeroDirty, ZeroDirty]);
+    let units = revise_units(&mut watch, &spaced);
+    let modes: Vec<_> = units.iter().map(|u| u.mode).collect();
+    assert_eq!(modes, [Delta, ZeroDirty]);
+    assert_eq!(units[0].stats.dirty_blocks, 0);
+    assert_eq!(units[0].stats.delta_blocks_resolved, 0);
     let (_, span) = watch.span_memo_mut("d").expect("d has a span memo");
     assert!(span.contains("# observed"), "{span}");
-    assert_eq!(watch.edit_classes().zero_dirty, 4);
-    assert_eq!(watch.edit_classes().total(), 4);
+    assert_eq!(revise(&mut watch, &spaced), [ZeroDirty, ZeroDirty]);
+    assert_eq!(watch.edit_classes().content, 1);
+    assert_eq!(watch.edit_classes().zero_dirty, 5);
+    assert_eq!(watch.edit_classes().total(), 6);
     // A content edit still reaches the solver.
     assert_eq!(
         revise(&mut watch, &spaced.replace("x = a + b", "x = a - b"))[0],
