@@ -98,9 +98,9 @@ diff testdata/memory_alias.lcm "$SMOKE/memalias.out"
 # scripted edits cover the incremental tiers: a pure content edit takes
 # the delta path, a byte-different file whose `fn` sections are unchanged
 # replays each function's span memo ("0 dirty" on stderr, output bytes
-# unchanged),
-# and a universe-growing edit (new expression) stays on the delta path
-# instead of falling back (PR 10 widening).
+# unchanged), a universe-growing edit (new expression) stays on the delta
+# path instead of falling back (PR 10 widening), and a comment-only edit of
+# `fn d` is a delta with nothing dirty.
 echo "==> watch smoke: scripted edits, output diffed vs one-shot batch"
 LCMOPT="$(pwd)/target/release/lcmopt"
 WFILE="$SMOKE/watched.lcm"
@@ -155,8 +155,12 @@ awk '{ print } /y = a \+ b/ { print "  a = 1" }' "$SMOKE/rev0.lcm" \
 # `straight` — which PR 10's widening keeps on the delta path.
 awk '{ print } /x = p \* q/ { print "  w = p + q"; print "  obs w" }' \
   "$SMOKE/rev2.lcm" > "$SMOKE/rev3.lcm"
+# Revision 4: a comment-only edit of `fn d` — it parses to the same
+# function, so its span memo misses and its retained state answers it.
+sed 's/^  y = a + b$/  y = a + b # recomputed/' "$SMOKE/rev3.lcm" > "$SMOKE/rev4.lcm"
+if cmp -s "$SMOKE/rev3.lcm" "$SMOKE/rev4.lcm"; then exit 1; fi
 cp "$SMOKE/rev0.lcm" "$WFILE"
-"$LCMOPT" watch "$WFILE" --iterations 3 --interval-ms 20 \
+"$LCMOPT" watch "$WFILE" --iterations 4 --interval-ms 20 \
   -o "$SMOKE/watch.out" 2> "$SMOKE/watch.log" &
 WATCH_PID=$!
 # The initial revision's output appears before polling starts; edit only
@@ -182,10 +186,18 @@ grep -q "watch\[2\]: fn straight: zero-dirty, 0 dirty" "$SMOKE/watch.log"
 diff "$SMOKE/watch.out" "$SMOKE/rev1.batch"
 # Edit 3: universe growth must be a delta solve, never a fallback.
 publish "$SMOKE/rev3.lcm"
-wait "$WATCH_PID"
+wait_iter 3
 wait_out "$SMOKE/rev3.batch"
 grep -q "watch\[3\]: fn straight: delta, 1 dirty" "$SMOKE/watch.log"
 grep -q "watch\[3\]:.* 1 universe-grow, .* 0 fallback" "$SMOKE/watch.log"
+# Edit 4: the comment-only edit is a delta with nothing dirty, and the
+# output bytes do not change.
+publish "$SMOKE/rev4.lcm"
+wait "$WATCH_PID"
+wait_out "$SMOKE/rev3.batch"
+grep -q "watch\[4\]: fn d: delta, 0 dirty" "$SMOKE/watch.log"
+WATCH_EDITS=$(sed -n 's/.*watch\[4\]: .* edits: \([^;]*\);.*/\1/p' "$SMOKE/watch.log")
+[ -n "$WATCH_EDITS" ]
 
 # Serve smoke: the daemon must answer byte-identically to batch, survive a
 # SIGKILL crash (the write-behind cache file either loads or quarantines,
@@ -216,14 +228,17 @@ grep -Eq "cache file (loaded|refused)" "$SMOKE/serve2.log"
 "$LCMOPT" request --socket "$SOCK" --stats | grep -q "^lifetime:"
 # The daemon's incremental hot path: re-sending an edited module must
 # delta-solve against the fixpoints retained from the previous revision
-# and report the hits, not pay a fresh solve. The edit-class ledger in
-# --stats classifies the resend: fn d was a content edit, fn straight
-# was byte-identical and replayed its span memo.
-"$LCMOPT" request --socket "$SOCK" "$SMOKE/rev0.lcm" > /dev/null
-"$LCMOPT" request --socket "$SOCK" "$SMOKE/rev1.lcm" > /dev/null
+# and report the hits, not pay a fresh solve. The daemon runs the same
+# unit cycle as watch, so fed the watch smoke's revisions its edit-class
+# ledger must equal watch's final `edits:` ledger, the comment-only edit
+# included, and each answer must equal the batch answer.
+for rev in 0 1 2 3 4; do
+  "$LCMOPT" request --socket "$SOCK" "$SMOKE/rev$rev.lcm" > "$SMOKE/daemon.rev"
+  "$LCMOPT" batch "$SMOKE/rev$rev.lcm" --emit text 2>/dev/null | diff - "$SMOKE/daemon.rev"
+done
 "$LCMOPT" request --socket "$SOCK" --stats > "$SMOKE/serve.stats"
 grep -Eq "^incremental: [1-9][0-9]* hits" "$SMOKE/serve.stats"
-grep -Eq "^edit classes: 1 content, .* 1 zero-dirty$" "$SMOKE/serve.stats"
+grep -qxF "edit classes: $WATCH_EDITS" "$SMOKE/serve.stats"
 "$LCMOPT" request --socket "$SOCK" --shutdown
 wait "$SERVE_PID"
 

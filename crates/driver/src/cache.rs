@@ -38,13 +38,17 @@ pub struct ComputedOrigin {
 
 /// One cached optimization result, addressed by content.
 ///
-/// Entries computed in this process carry their [`ComputedOrigin`] and are
-/// re-validated on a hit via the plan validator. Entries loaded from a
+/// Every hit on an entry is re-validated at the fast tier, whatever the
+/// run's validation tier. Entries computed in this process carry their
+/// [`ComputedOrigin`] and are re-validated via the plan validator; one that
+/// fails fails its unit as `poisoned-cache`. Entries loaded from a
 /// persisted `lcm-cache-v1` file are **thin** (`origin` is `None`): the
 /// plan and analysis state are not serialised, so a thin hit is instead
 /// re-validated by re-parsing both texts, re-verifying the IR, and running
 /// seeded differential execution of input against output — an answer is
-/// never served on the checksum's word alone.
+/// never served on the checksum's word alone. A thin entry that fails is
+/// quarantined: removed, counted in the lifetime `quarantines`, and its
+/// unit recomputed.
 #[derive(Clone, Debug)]
 pub struct CacheEntry {
     /// Canonical source text of the function (collision guard).
@@ -124,18 +128,11 @@ impl PlanCache {
     /// Looks up `key`, verifying the stored canonical text matches (so a
     /// 128-bit collision reads as a miss, never as a wrong plan). Does not
     /// touch the counters; the driver counts hits and misses when it plans
-    /// a batch.
+    /// a unit.
     pub fn get(&self, key: u128, canonical_input: &str) -> Option<&CacheEntry> {
         self.map
             .get(&key)
             .filter(|e| e.canonical_input == canonical_input)
-    }
-
-    /// Immutable access to an entry by key alone, without the collision
-    /// guard — for re-validating hits that were already text-checked when
-    /// the batch was planned.
-    pub fn entry_ref(&self, key: u128) -> Option<&CacheEntry> {
-        self.map.get(&key)
     }
 
     /// Mutable access to an entry, **bypassing** the collision guard.
@@ -190,8 +187,8 @@ impl PlanCache {
         }
     }
 
-    /// Removes the entry under `key`, if any — the daemon's quarantine path
-    /// for a persisted entry that fails hit-revalidation. Not counted as an
+    /// Removes the entry under `key`, if any — the quarantine path for a
+    /// persisted entry that fails hit-revalidation. Not counted as an
     /// eviction (the entry was refused, not aged out).
     pub fn remove(&mut self, key: u128) -> Option<CacheEntry> {
         let removed = self.map.remove(&key);
@@ -279,14 +276,15 @@ pub fn canonical_text(f: &Function) -> String {
     text
 }
 
-/// Rewrites the canonical header of `output_text` back to `name` for
-/// presentation. The canonical text always starts with `fn __fn {`, so a
-/// prefix swap is exact.
+/// Rewrites the header of a printed function (`output_text`, under
+/// [`CANONICAL_NAME`] or another unit's name) to `name` for presentation.
+/// Printed text always starts with `fn NAME {`, so a prefix swap is exact.
 pub(crate) fn with_name(output_text: &str, name: &str) -> String {
-    let header = format!("fn {CANONICAL_NAME} {{");
     let rest = output_text
-        .strip_prefix(header.as_str())
-        .expect("cached output text must start with the canonical header");
+        .strip_prefix("fn ")
+        .and_then(|t| t.split_once(" {"))
+        .map(|(_, rest)| rest)
+        .expect("printed output text must start with a `fn NAME {` header");
     format!("fn {name} {{{rest}")
 }
 

@@ -12,8 +12,13 @@
 //!   fails *its unit* and the rest of the batch completes.
 //! * **Caching** — a content-addressed [`PlanCache`] keyed by the
 //!   canonically-printed function body means duplicate functions across a
-//!   corpus are optimized once; cached plans are **re-validated** on hit,
-//!   so a corrupted cache degrades to a unit failure, not to wrong code.
+//!   corpus are optimized once; every hit on a cached plan is
+//!   **re-validated** at the fast tier, so a corrupted cache degrades to a
+//!   unit failure (or, for an entry loaded from disk, to a recompute), not
+//!   to wrong code.
+//! * **One cycle** — batch, watch and the serve daemon run each unit
+//!   through the same sequential plan, engine-free work and sequential
+//!   finish steps.
 //! * **Determinism** — cache lookups, cache insertions and report assembly
 //!   are sequential in function order; only the pipeline runs themselves
 //!   are parallel. The rendered output and aggregated statistics are
@@ -44,6 +49,7 @@ pub mod protocol;
 pub mod serve;
 
 mod cache;
+mod cycle;
 mod load;
 mod persist;
 
@@ -57,6 +63,7 @@ pub use persist::{
     LifetimeCounters, LoadStatus, CACHE_FORMAT_VERSION, CACHE_MAGIC, STATS_MAGIC,
 };
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -72,6 +79,8 @@ use lcm_core::{
 use lcm_dataflow::{SolveStrategy, SolverScratch};
 use lcm_ir::{parse_function, verify, Function, Module, Profile};
 
+use cycle::{Finished, Plan, PreStep, Surface, UnitIn};
+
 /// How a batch run is configured.
 #[derive(Clone, Copy, Debug)]
 pub struct BatchOptions {
@@ -83,14 +92,17 @@ pub struct BatchOptions {
     /// [`PreAlgorithm::LazyEdge`] — there is no frequency information to
     /// speculate on — and share cache entries with plain LCM runs.
     pub placement: PreAlgorithm,
-    /// Validation tier for computed units; cache hits are re-validated at
-    /// the fast tier whenever this is not [`ValidationLevel::Off`].
+    /// Validation tier for computed units. Cache hits do not follow it:
+    /// every hit on an entry already in the cache is re-validated at the
+    /// fast tier, even under [`ValidationLevel::Off`].
     pub validate: ValidationLevel,
     /// Seed for the validator's differential execution.
     pub seed: u64,
     /// Whether the plan cache is consulted and filled. Only batch runs and
     /// the serve daemon use the cache; the incremental cycle of
-    /// [`BatchEngine::run_module_incremental`] neither reads nor fills it.
+    /// [`BatchEngine::run_module_incremental`] neither reads nor fills it,
+    /// and in the daemon a function name with retained state is answered
+    /// by its incremental step, not by the cache.
     pub use_cache: bool,
     /// Plan-cache capacity in entries; `0` means unbounded. Like
     /// `use_cache`, it matters only to batch runs and the daemon.
@@ -169,7 +181,7 @@ pub struct UnitError {
 }
 
 /// A successfully optimized unit.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct UnitSuccess {
     /// The optimized function, printed under the unit's own name.
     pub output: String,
@@ -183,6 +195,19 @@ pub struct UnitSuccess {
     pub validation_checks: usize,
     /// Differential inputs sampled for this unit in this batch.
     pub inputs_sampled: usize,
+}
+
+impl UnitSuccess {
+    /// The success `entry` reports for a unit named `name`.
+    fn of(entry: &CacheEntry, name: &str) -> Self {
+        UnitSuccess {
+            output: cache::with_name(&entry.output_text, name),
+            pipeline: entry.pipeline,
+            transform: entry.transform,
+            validation_checks: entry.validation_checks,
+            inputs_sampled: entry.inputs_sampled,
+        }
+    }
 }
 
 /// The outcome of one unit.
@@ -274,39 +299,6 @@ pub struct BatchResult {
     pub units: Vec<UnitReport>,
     /// Deterministic aggregates.
     pub totals: BatchTotals,
-}
-
-/// How phase 1 decided to handle a unit. Planning is sequential and in
-/// input order, so the decisions — and every cache counter — are
-/// independent of the thread count.
-enum UnitPlan {
-    /// Input verification failed.
-    Invalid(UnitError),
-    /// Run the pipeline; cache under `key` if the cache is on.
-    Compute { key: Option<u128> },
-    /// Intra-batch duplicate of the unit at `leader` (which computes).
-    Replay { leader: usize },
-    /// Already cached. The reporting fields are snapshotted at planning
-    /// time so later insertions (and their evictions) cannot disturb them.
-    Hit {
-        key: u128,
-        output_text: String,
-        pipeline: PipelineStats,
-        transform: TransformStats,
-    },
-}
-
-/// One parallel job: run a unit's pipeline, or re-validate a cached entry.
-enum Job {
-    Compute(usize),
-    Revalidate(u128),
-}
-
-/// What a parallel job produced. The computed entry is boxed: it is two
-/// orders of magnitude bigger than the revalidation counters.
-enum JobOut {
-    Computed(usize, Result<Box<CacheEntry>, UnitError>),
-    Revalidated(u128, Result<(usize, usize), UnitError>),
 }
 
 /// The durable-cache half of an engine: where the cache file lives, the
@@ -577,19 +569,11 @@ impl BatchEngine {
     /// written back until [`BatchEngine::flush_cache_file`].
     pub fn with_cache_file(opts: BatchOptions, path: &std::path::Path) -> Self {
         let (cache, base, status) = persist::load_or_quarantine(path, opts.cache_capacity);
+        let path = path.to_path_buf();
         BatchEngine {
             cache,
-            opts,
-            persisted: Some(PersistState {
-                path: path.to_path_buf(),
-                base,
-                status,
-            }),
-            retained: BTreeMap::new(),
-            incremental_hits: 0,
-            delta_blocks_resolved: 0,
-            edit_classes: EditClassCounters::default(),
-            phases: PhaseNanos::default(),
+            persisted: Some(PersistState { path, base, status }),
+            ..BatchEngine::new(opts)
         }
     }
 
@@ -617,16 +601,6 @@ impl BatchEngine {
         l.shape_mapped_edits += e.shape_mapped;
         l.fallback_edits += e.fallback;
         l
-    }
-
-    /// Removes and returns the retained fixpoint for `name`, if any. The
-    /// take-then-retain split (instead of borrowing in place) lets a daemon
-    /// worker release the engine lock while it delta-solves; a concurrent
-    /// unit of the same name simply finds no state and solves fresh. The
-    /// span memo retained with it is dropped: a span lives only beside the
-    /// state it was minted with.
-    pub(crate) fn take_prev_solve(&mut self, name: &str) -> Option<PrevSolve> {
-        self.retained.remove(name).map(|r| r.prev)
     }
 
     /// Retained fixpoint entries currently held.
@@ -658,15 +632,6 @@ impl BatchEngine {
     /// units.
     pub fn incremental_phases(&self) -> PhaseNanos {
         self.phases
-    }
-
-    /// Counts a quarantined *entry*: a persisted entry that failed
-    /// hit-revalidation and was removed (the daemon's recovery path).
-    /// No-op for an in-memory engine.
-    pub fn note_entry_quarantine(&mut self) {
-        if let Some(p) = &mut self.persisted {
-            p.base.quarantines += 1;
-        }
     }
 
     /// Durably writes the cache (and lifetime counters) back to the
@@ -713,404 +678,130 @@ impl BatchEngine {
     }
 
     /// Optimizes every function of `m` through the incremental hot path,
-    /// sequentially and in module order. Each unit runs one incremental
-    /// cycle: when `m` came from [`parse_module`](lcm_ir::parse_module), a
-    /// function whose section text ([`Module::source`]) is byte-identical
-    /// to the one its retained state answered replays that output at once,
-    /// with no verification and no fingerprint — the one memo level. Every
-    /// other unit is verified and solved against the retained fixpoints
+    /// sequentially and in module order, one unit cycle each: when `m` came
+    /// from [`parse_module`](lcm_ir::parse_module), a function whose
+    /// section text ([`Module::source`]) is byte-identical to the one its
+    /// retained state answered replays that output at once, with no
+    /// verification and no fingerprint — the one memo level. Every other
+    /// unit is verified and solved against the retained fixpoints
     /// ([`PrevSolve`]) — a delta, a fresh solve on first sight, or the full
-    /// fallback past the mapped shape edits — then the ledger and the
-    /// retained state are updated. Functions whose placement is not
-    /// [`incremental_eligible`] run the one-shot pipeline instead. The
-    /// plan cache is neither read nor filled: it belongs to batch runs and
-    /// the serve daemon.
+    /// fallback — then the ledger and the retained state are updated.
+    /// Functions whose placement is not [`incremental_eligible`] run the
+    /// one-shot pipeline instead. The plan cache is neither read nor
+    /// filled.
     ///
     /// Per-unit output text is byte-identical to [`BatchEngine::run_module`]
     /// for the same input and options, at every placement and validation
     /// tier (pinned by `tests/watch.rs`). This is the `lcmopt watch`
-    /// engine; the serve daemon runs the same cycle through the same engine
-    /// helpers, unlocking the engine while it solves, and keeps the same
-    /// ledger (pinned by `tests/serve_determinism.rs`).
+    /// engine; the serve daemon runs the same unit cycle, unlocking the
+    /// engine while it solves, and keeps the same ledger (pinned by
+    /// `tests/serve_determinism.rs`).
     pub fn run_module_incremental(&mut self, m: &Module) -> Vec<IncrementalUnit> {
         let mut scratch = SolverScratch::new();
         let opts_tag = options_tag(&self.opts);
+        let surface = Surface {
+            retained: Some(&opts_tag),
+            cache: false,
+        };
+        let budget = OptimizeBudget::unlimited();
         m.iter()
             .enumerate()
             .map(|(i, f)| {
-                let (span, profile) = (m.source(i), m.profile(&f.name));
-                self.incremental_unit(f, span, profile, &opts_tag, &mut scratch)
+                let unit = UnitIn {
+                    function: f,
+                    span: m.source(i).map(Cow::Borrowed),
+                    profile: m.profile(&f.name),
+                };
+                self.cycle(unit, surface, &budget, &mut scratch)
+                    .into_incremental(f)
             })
             .collect()
     }
 
-    fn incremental_unit(
-        &mut self,
-        f: &Function,
-        span: Option<&str>,
-        profile: Option<&Profile>,
-        opts_tag: &str,
-        scratch: &mut SolverScratch,
-    ) -> IncrementalUnit {
-        if let Some(replayed) = span.and_then(|s| self.replay_span(f, s, profile, opts_tag)) {
-            return replayed;
-        }
-        if let Err(e) = verify(f) {
-            let err = UnitError {
-                kind: FailureKind::InvalidInput,
-                message: e.to_string(),
-            };
-            return unaccounted_unit(f, Err(err), IncrementalMode::OneShot);
-        }
-        let weights = if self.opts.placement == PreAlgorithm::Speculative {
-            profile.and_then(|p| EdgeWeights::from_profile(f, p).ok())
-        } else {
-            None
-        };
-        let context = unit_context(self.opts.placement, weights.as_ref());
-        if !incremental_eligible(self.opts.placement, weights.as_ref()) {
-            let budget = OptimizeBudget::unlimited();
-            let step = PreStep::OneShot(&budget);
-            let computed = isolate(AssertUnwindSafe(|| {
-                optimize_unit(f, &self.opts, weights.as_ref(), &context, step, scratch)
-            }));
-            let outcome = computed.map(|run| cache::with_name(&run.entry.output_text, &f.name));
-            return unaccounted_unit(f, outcome, IncrementalMode::OneShot);
-        }
-        let key = fingerprint_key(f, &context);
-        let span = span.map(|text| SpanMemo::new(self.opts.placement, text.into(), profile));
-        let prev = self.take_prev_solve(&f.name);
-        let step = PreStep::Incremental(prev.as_ref().map(|p| &p.state));
-        let computed = isolate(AssertUnwindSafe(|| {
-            optimize_unit(f, &self.opts, None, &context, step, scratch)
-        }));
-        self.finish_incremental(f, key, opts_tag, prev.is_some(), computed, span)
-            .0
-    }
-
-    /// The span memo, the first step of the incremental cycle and its only
-    /// memo level, before `verify` and the fingerprint: when `span`, the
-    /// raw text of `f`'s `fn` section, is byte-identical to the section
-    /// whose state is retained for `f`'s name, under the same options
-    /// (`opts_tag`) and — under speculative placement — the same profile,
-    /// the retained output is replayed and counted as a zero-dirty edit. A
-    /// span is recorded only for a function that verified and took the
-    /// incremental path, and parsing a section depends on its bytes alone,
-    /// so the replayed answer is the one this revision would compute.
-    fn replay_span(
-        &mut self,
-        f: &Function,
-        span: &str,
-        profile: Option<&Profile>,
-        opts_tag: &str,
-    ) -> Option<IncrementalUnit> {
-        let r = self.retained.get(&f.name)?;
-        let memo = r.span.as_ref()?;
-        let same_profile = match self.opts.placement {
-            PreAlgorithm::LazyEdge => true,
-            PreAlgorithm::Speculative => memo.profile.as_ref() == profile,
-            _ => false,
-        };
-        if !same_profile || *memo.text != *span || r.prev.opts_tag != opts_tag {
-            return None;
-        }
-        let output = cache::with_name(&r.prev.output_text, &f.name);
-        self.edit_classes.zero_dirty += 1;
-        Some(unaccounted_unit(f, Ok(output), IncrementalMode::ZeroDirty))
-    }
-
-    /// The last step of the incremental cycle, after the solve (which a
-    /// daemon runs with the engine unlocked): classifies the unit, counts
-    /// it in the delta and edit-class ledgers and the phase totals, and
-    /// retains its fixpoints and output memo under `key` and `opts_tag` —
-    /// with `span`, the unit's span memo, if it came from module text — for
-    /// the next revision. `had_prev` says whether the solve ran against
-    /// retained state. The computed cache entry is handed back: the daemon
-    /// fills its plan cache with it, the watch cycle drops it.
-    fn finish_incremental(
-        &mut self,
-        f: &Function,
-        key: u128,
-        opts_tag: &str,
-        had_prev: bool,
-        computed: Result<UnitRun, UnitError>,
-        span: Option<SpanMemo>,
-    ) -> (IncrementalUnit, Option<CacheEntry>) {
-        let run = match computed {
-            Ok(run) => run,
-            Err(e) => return (unaccounted_unit(f, Err(e), IncrementalMode::Fresh), None),
-        };
-        let (state, stats) = run
-            .retained
-            .expect("the incremental step retains its fixpoints");
-        let mode = match (had_prev, stats.full_fallback) {
-            (false, _) => IncrementalMode::Fresh,
-            (true, true) => IncrementalMode::Fallback,
-            (true, false) => IncrementalMode::Delta,
-        };
-        if mode == IncrementalMode::Delta {
-            self.incremental_hits += 1;
-            self.delta_blocks_resolved += stats.delta_blocks_resolved as u64;
-        }
-        if had_prev {
-            self.edit_classes.note(&stats);
-        }
-        self.phases.solve_ns += run.phases.solve_ns;
-        self.phases.tail_ns += run.phases.tail_ns;
-        let output = cache::with_name(&run.entry.output_text, &f.name);
-        let prev = PrevSolve {
-            key,
-            state,
-            output_text: run.entry.output_text.clone(),
-            opts_tag: opts_tag.to_string(),
-        };
-        self.retained
-            .insert(f.name.clone(), Retained { prev, span });
-        let unit = IncrementalUnit {
-            name: f.name.clone(),
-            outcome: Ok(output),
-            mode,
-            stats,
-            blocks: f.num_blocks(),
-            phases: run.phases,
-        };
-        (unit, Some(run.entry))
-    }
-
-    /// Optimizes `units` as one batch. See the crate docs for the phase
-    /// structure; the short version is *plan sequentially, compute in
-    /// parallel, assemble sequentially*.
+    /// Optimizes `units` as one batch: the unit cycle's plan step for every
+    /// unit in input order, the work items on the pool, then the finish
+    /// steps in input order. A later unit with the fingerprint of an
+    /// earlier one replays its answer.
     pub fn run(&mut self, units: Vec<BatchUnit>) -> BatchResult {
         let threads = resolve_jobs(self.opts.jobs);
-
-        // Resolve profiles to edge weights up front (sequentially, so a
-        // malformed profile degrades identically for every thread count).
-        // `None` means "run plain LCM": either the batch isn't speculative,
-        // or this unit has no resolvable profile to speculate on.
-        let weights: Vec<Option<EdgeWeights>> = units
-            .iter()
-            .map(|u| {
-                if self.opts.placement == PreAlgorithm::Speculative {
-                    u.profile
-                        .as_ref()
-                        .and_then(|p| EdgeWeights::from_profile(&u.function, p).ok())
-                } else {
-                    None
-                }
-            })
-            .collect();
-        let contexts: Vec<String> = weights
-            .iter()
-            .map(|w| unit_context(self.opts.placement, w.as_ref()))
-            .collect();
+        let surface = Surface {
+            retained: None,
+            cache: self.opts.use_cache,
+        };
 
         // Phase 1 — sequential planning in input order: verify inputs,
-        // consult the cache, pick one leader per distinct new fingerprint.
-        let mut plans: Vec<UnitPlan> = Vec::with_capacity(units.len());
-        let mut leader_of: HashMap<u128, usize> = HashMap::new();
-        for (i, unit) in units.iter().enumerate() {
-            if let Err(e) = verify(&unit.function) {
-                plans.push(UnitPlan::Invalid(UnitError {
-                    kind: FailureKind::InvalidInput,
-                    message: e.to_string(),
-                }));
-                continue;
-            }
-            if !self.opts.use_cache {
-                plans.push(UnitPlan::Compute { key: None });
-                continue;
-            }
-            let (key, text) = fingerprint_with_context(&unit.function, &contexts[i]);
-            if let Some(entry) = self.cache.get(key, &text) {
-                let plan = UnitPlan::Hit {
-                    key,
-                    output_text: entry.output_text.clone(),
-                    pipeline: entry.pipeline,
-                    transform: entry.transform,
-                };
-                self.cache.note_hit();
-                plans.push(plan);
-            } else if let Some(&leader) = leader_of.get(&key) {
-                self.cache.note_hit();
-                plans.push(UnitPlan::Replay { leader });
-            } else {
-                self.cache.note_miss();
-                leader_of.insert(key, i);
-                plans.push(UnitPlan::Compute { key: Some(key) });
-            }
-        }
+        // consult the cache, pick one leader per distinct fingerprint.
+        let mut leaders: HashMap<u128, usize> = HashMap::new();
+        let plans: Vec<Plan> = units
+            .iter()
+            .enumerate()
+            .map(|(i, u)| self.plan(&UnitIn::from(u), surface, Some((i, &mut leaders))))
+            .collect();
 
-        // Phase 2 — the parallel part: pipeline runs for every planned
-        // compute, plus one fast-tier re-validation per distinct cache hit.
-        let mut jobs: Vec<Job> = Vec::new();
-        for (i, plan) in plans.iter().enumerate() {
-            if matches!(plan, UnitPlan::Compute { .. }) {
-                jobs.push(Job::Compute(i));
-            }
-        }
-        if self.opts.validate != ValidationLevel::Off {
-            let mut seen: Vec<u128> = Vec::new();
-            for plan in &plans {
-                if let UnitPlan::Hit { key, .. } = plan {
-                    if !seen.contains(key) {
-                        seen.push(*key);
-                        jobs.push(Job::Revalidate(*key));
-                    }
+        // Phase 2 — the parallel part: the work items, a pipeline run or a
+        // cache-hit re-validation per leader. One SolverScratch per worker,
+        // reused across every function that worker computes: O(threads)
+        // solver arenas per batch instead of O(functions × analyses ×
+        // blocks) transient allocations.
+        let (opts, budget) = (self.opts, OptimizeBudget::unlimited());
+        let outs =
+            pool::run_indexed_with(threads, plans.len(), SolverScratch::new, |scratch, i| {
+                match &plans[i] {
+                    Plan::Work(w) => Some(w.run(&units[i].function, &opts, &budget, scratch)),
+                    _ => None,
                 }
-            }
-        }
-
-        let cache = &self.cache;
-        let opts = self.opts;
-        // One SolverScratch per worker, reused across every function that
-        // worker computes: O(threads) solver arenas per batch instead of
-        // O(functions × analyses × blocks) transient allocations.
-        let outs: Vec<JobOut> = pool::run_indexed_with(
-            threads,
-            jobs.len(),
-            SolverScratch::new,
-            |scratch, j| match jobs[j] {
-                Job::Compute(i) => JobOut::Computed(
-                    i,
-                    isolate(AssertUnwindSafe(|| {
-                        let budget = OptimizeBudget::unlimited();
-                        optimize_unit(
-                            &units[i].function,
-                            &opts,
-                            weights[i].as_ref(),
-                            &contexts[i],
-                            PreStep::OneShot(&budget),
-                            scratch,
-                        )
-                        .map(|run| Box::new(run.entry))
-                    })),
-                ),
-                Job::Revalidate(key) => {
-                    let entry = cache
-                        .entry_ref(key)
-                        .expect("planned hit entries outlive phase 2");
-                    JobOut::Revalidated(
-                        key,
-                        isolate(AssertUnwindSafe(|| revalidate_entry(entry, opts.seed))),
-                    )
-                }
-            },
-        );
-
-        let mut computed: HashMap<usize, Result<Box<CacheEntry>, UnitError>> = HashMap::new();
-        let mut revalidated: HashMap<u128, Result<(usize, usize), UnitError>> = HashMap::new();
-        for out in outs {
-            match out {
-                JobOut::Computed(i, r) => {
-                    computed.insert(i, r);
-                }
-                JobOut::Revalidated(key, r) => {
-                    revalidated.insert(key, r);
-                }
-            }
-        }
+            });
 
         // Phase 3 — sequential assembly in input order. Cache insertions
         // happen here, in input order, so the eviction sequence is
         // deterministic too.
-        let mut reports: Vec<UnitReport> = Vec::with_capacity(units.len());
+        let mut finished: Vec<Finished> = Vec::with_capacity(units.len());
+        for ((u, plan), out) in units.iter().zip(plans).zip(outs) {
+            let done = match plan {
+                Plan::Work(w) => {
+                    let out = out.expect("every work item runs");
+                    self.finish(UnitIn::from(u), w, out, surface)
+                }
+                Plan::Replay { leader } => finished[leader].replay(&u.function.name),
+                Plan::Done(done) => done,
+            };
+            finished.push(done);
+        }
+
         let mut totals = BatchTotals {
             functions: units.len(),
             ..BatchTotals::default()
         };
-        for (i, (unit, plan)) in units.iter().zip(&plans).enumerate() {
-            let name = unit.function.name.clone();
-            let (disposition, outcome) = match plan {
-                UnitPlan::Invalid(e) => {
-                    (CacheDisposition::Uncached, UnitOutcome::Failed(e.clone()))
-                }
-                UnitPlan::Compute { key } => {
-                    let disposition = if key.is_some() {
-                        CacheDisposition::Computed
-                    } else {
-                        CacheDisposition::Uncached
-                    };
-                    match &computed[&i] {
-                        Ok(entry) => {
+        let reports = units
+            .into_iter()
+            .zip(finished)
+            .map(|(u, done)| {
+                let outcome = match done.outcome {
+                    Ok(s) => {
+                        totals.ok += 1;
+                        totals.validation_checks += s.validation_checks;
+                        totals.inputs_sampled += s.inputs_sampled;
+                        if let Some(spec) = done.computed {
                             totals.computed += 1;
-                            totals.pipeline += entry.pipeline;
-                            totals.transform += entry.transform;
-                            totals.spec += entry
-                                .origin
-                                .as_ref()
-                                .and_then(|o| o.opt.spec)
-                                .unwrap_or_default();
-                            totals.validation_checks += entry.validation_checks;
-                            totals.inputs_sampled += entry.inputs_sampled;
-                            let success = UnitSuccess {
-                                output: cache::with_name(&entry.output_text, &name),
-                                pipeline: entry.pipeline,
-                                transform: entry.transform,
-                                validation_checks: entry.validation_checks,
-                                inputs_sampled: entry.inputs_sampled,
-                            };
-                            if let Some(key) = key {
-                                self.cache.insert(*key, (**entry).clone());
-                            }
-                            (disposition, UnitOutcome::Ok(success))
+                            totals.pipeline += s.pipeline;
+                            totals.transform += s.transform;
+                            totals.spec += spec;
                         }
-                        Err(e) => (disposition, UnitOutcome::Failed(e.clone())),
+                        UnitOutcome::Ok(s)
                     }
-                }
-                UnitPlan::Replay { leader } => match &computed[leader] {
-                    Ok(entry) => (
-                        CacheDisposition::Hit,
-                        UnitOutcome::Ok(UnitSuccess {
-                            output: cache::with_name(&entry.output_text, &name),
-                            pipeline: entry.pipeline,
-                            transform: entry.transform,
-                            validation_checks: 0,
-                            inputs_sampled: 0,
-                        }),
-                    ),
-                    Err(e) => (CacheDisposition::Hit, UnitOutcome::Failed(e.clone())),
-                },
-                UnitPlan::Hit {
-                    key,
-                    output_text,
-                    pipeline,
-                    transform,
-                } => {
-                    let checks = if self.opts.validate == ValidationLevel::Off {
-                        Ok((0, 0))
-                    } else {
-                        revalidated[key].clone()
-                    };
-                    match checks {
-                        Ok((validation_checks, inputs_sampled)) => {
-                            totals.validation_checks += validation_checks;
-                            totals.inputs_sampled += inputs_sampled;
-                            (
-                                CacheDisposition::Hit,
-                                UnitOutcome::Ok(UnitSuccess {
-                                    output: cache::with_name(output_text, &name),
-                                    pipeline: *pipeline,
-                                    transform: *transform,
-                                    validation_checks,
-                                    inputs_sampled,
-                                }),
-                            )
-                        }
-                        Err(e) => (CacheDisposition::Hit, UnitOutcome::Failed(e)),
+                    Err(e) => {
+                        totals.failed += 1;
+                        UnitOutcome::Failed(e)
                     }
+                };
+                UnitReport {
+                    name: u.function.name,
+                    file: u.file,
+                    cache: done.cache,
+                    outcome,
                 }
-            };
-            match &outcome {
-                UnitOutcome::Ok(_) => totals.ok += 1,
-                UnitOutcome::Failed(_) => totals.failed += 1,
-            }
-            reports.push(UnitReport {
-                name,
-                file: unit.file.clone(),
-                cache: disposition,
-                outcome,
-            });
-        }
+            })
+            .collect();
         totals.cache = self.cache.stats();
         totals.cache_entries = self.cache.len();
         totals.lifetime = self.lifetime();
@@ -1155,43 +846,6 @@ fn isolate<T>(
     }
 }
 
-/// The placement context a unit is fingerprinted (and cached) under.
-/// Empty for plain LCM **and** for profile-less speculative units — the
-/// latter run exactly the LCM pipeline, so sharing entries is both sound
-/// and desirable. Speculative units with resolved weights spell the full
-/// weight vector out: same body + same weights ⇒ same plan.
-fn unit_context(placement: PreAlgorithm, weights: Option<&EdgeWeights>) -> String {
-    match (placement, weights) {
-        (PreAlgorithm::Speculative, Some(w)) => {
-            let mut s = format!("spec entry={}", w.entry);
-            for e in &w.edges {
-                s.push(',');
-                s.push_str(&e.to_string());
-            }
-            s
-        }
-        (PreAlgorithm::Speculative, None) | (PreAlgorithm::LazyEdge, _) => String::new(),
-        (other, _) => other.name().to_string(),
-    }
-}
-
-/// A unit with no delta accounting and no phase split: a one-shot run, a
-/// memo replay, or a failure.
-fn unaccounted_unit(
-    f: &Function,
-    outcome: Result<String, UnitError>,
-    mode: IncrementalMode,
-) -> IncrementalUnit {
-    IncrementalUnit {
-        name: f.name.clone(),
-        outcome,
-        mode,
-        stats: IncrementalStats::default(),
-        blocks: f.num_blocks(),
-        phases: PhaseNanos::default(),
-    }
-}
-
 /// Whether a unit may take the incremental hot path: the effective
 /// placement must be the plain edge-formulation LCM pipeline — the one
 /// [`IncrementalState`] retains fixpoints for. That is [`PreAlgorithm::LazyEdge`]
@@ -1204,22 +858,8 @@ pub fn incremental_eligible(placement: PreAlgorithm, weights: Option<&EdgeWeight
     )
 }
 
-/// The PRE step of [`optimize_unit`] — the one place the unit pipeline
-/// branches.
-enum PreStep<'a> {
-    /// The checked, budgeted one-shot solve of the configured placement;
-    /// nothing is retained.
-    OneShot(&'a OptimizeBudget),
-    /// The incremental solve (callers check [`incremental_eligible`]
-    /// first): a delta against the retained fixpoints when there are any,
-    /// a fresh solve otherwise — and either way the new fixpoints are
-    /// retained. Validated at the fast tier at least, so a stale or
-    /// corrupted state costs a typed unit failure, never wrong code.
-    Incremental(Option<&'a IncrementalState>),
-}
-
 /// What [`optimize_unit`] produced.
-struct UnitRun {
+pub(crate) struct UnitRun {
     /// The cache entry (canonical texts, statistics, plan for re-validation).
     entry: CacheEntry,
     /// The fixpoints to retain and what the delta path did
@@ -1233,7 +873,8 @@ struct UnitRun {
 
 /// The per-function pipeline, mirroring `lcmopt`'s default pass order:
 /// LCSE → checked PRE (the configured placement) → [`passes::cleanup`] →
-/// output verification. Only the PRE step varies, by `step`.
+/// output verification. Only the PRE step varies, by `step`; `budget`
+/// bounds the one-shot step.
 ///
 /// `weights` and `context` must be the ones resolved for this unit: the
 /// recorded `canonical_input` embeds the context so the cache's collision
@@ -1245,7 +886,8 @@ fn optimize_unit(
     opts: &BatchOptions,
     weights: Option<&EdgeWeights>,
     context: &str,
-    step: PreStep<'_>,
+    step: &PreStep,
+    budget: &OptimizeBudget,
     scratch: &mut SolverScratch,
 ) -> Result<UnitRun, UnitError> {
     let (level, seed, strategy) = (opts.validate, opts.seed, opts.strategy);
@@ -1263,7 +905,7 @@ fn optimize_unit(
         message: e.to_string(),
     };
     let (opt, report, retained, mut phases) = match step {
-        PreStep::OneShot(budget) => {
+        PreStep::OneShot => {
             // Profile-less speculative units run plain LCM (see
             // `BatchOptions::placement`).
             let alg = match (opts.placement, weights) {
@@ -1280,8 +922,9 @@ fn optimize_unit(
             (opt, report, None, phases)
         }
         PreStep::Incremental(Some(prev)) => {
-            let out = optimize_incremental_checked_with(prev, &g, level, seed, strategy, scratch)
-                .map_err(pipeline_err)?;
+            let out =
+                optimize_incremental_checked_with(&prev.state, &g, level, seed, strategy, scratch)
+                    .map_err(pipeline_err)?;
             let mut phases = out.phases;
             // Charge cloning + LCSE to the solve phase so the two phases
             // still sum to this function's whole wall-clock.
@@ -1383,6 +1026,16 @@ fn revalidate_entry(entry: &CacheEntry, seed: u64) -> Result<(usize, usize), Uni
     // The stored input embeds the placement context as a `;; ...` suffix,
     // which is not IR; strip it before re-parsing.
     let (input_text, _context) = cache::split_context(&entry.canonical_input);
+    // The output is served by a header swap, so it must start with the
+    // canonical header.
+    if !entry
+        .output_text
+        .starts_with(&format!("fn {CANONICAL_NAME} {{"))
+    {
+        return Err(poisoned(
+            "persisted entry output has no canonical header".into(),
+        ));
+    }
     let f = parse_function(input_text)
         .map_err(|e| poisoned(format!("persisted entry input does not parse: {e}")))?;
     let g = parse_function(&entry.output_text)

@@ -623,7 +623,7 @@ mod tests {
         assert_eq!(loaded.stats().evictions, 0);
         // The survivor is the newest entry, as FIFO eviction would leave.
         let newest = engine.cache().iter_fifo().last().unwrap().0;
-        assert!(loaded.entry_ref(newest).is_some());
+        assert_eq!(loaded.iter_fifo().next().map(|(k, _)| k), Some(newest));
         fs::remove_dir_all(&dir).unwrap();
     }
 

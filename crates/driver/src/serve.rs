@@ -32,10 +32,22 @@
 //!   loop carries a second, outer backstop that counts into
 //!   [`Daemon::panics_contained`]. Tests assert the counter stays 0.
 //!
+//! Each unit runs the engine's one unit cycle, the same as batch and
+//! `lcmopt watch`: the plan step under the engine lock, the work with the
+//! lock released, the finish step under the lock again. So a function
+//! name with retained state is answered by its incremental step (a delta,
+//! or a span-memo replay), and the daemon's edit ledger equals watch's;
+//! the plan cache answers only first sight of a name, budgeted units,
+//! `spec` units with weights and the other placements. Every cache hit is
+//! re-validated at the fast tier; a persisted (thin) entry that fails is
+//! quarantined and its unit recomputed, so a bad entry on disk is never
+//! served and never fails a unit.
+//!
 //! Connection handling is generic over `Read + Write`, so the full
 //! protocol surface is testable in-process with byte buffers; the Unix
 //! socket and stdio fronts are thin wrappers.
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
@@ -44,18 +56,17 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use lcm_core::{EdgeWeights, OptimizeBudget, PreAlgorithm};
+use lcm_core::OptimizeBudget;
 use lcm_dataflow::SolverScratch;
-use lcm_ir::{verify, Function, Profile};
+use lcm_ir::{Function, Profile};
 
+use crate::cycle::{Plan, Surface, UnitIn};
 use crate::protocol::{
     self, decode_request, read_frame, write_response, FrameError, Request, Response, ERR_BAD_FRAME,
     ERR_DRAINING, ERR_PARSE, ERR_TOO_LARGE,
 };
 use crate::{
-    cache, fingerprint_with_context, incremental_eligible, isolate, optimize_unit, options_tag,
-    resolve_jobs, unit_context, BatchEngine, BatchOptions, CacheEntry, FailureKind,
-    IncrementalUnit, LoadStatus, PreStep, SpanMemo, UnitError,
+    options_tag, resolve_jobs, BatchEngine, BatchOptions, FailureKind, LoadStatus, UnitError,
 };
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -103,12 +114,10 @@ pub enum ConnectionEnd {
 /// One admitted unit of work.
 struct UnitJob {
     index: u32,
-    name: String,
     function: Function,
-    weights: Option<EdgeWeights>,
-    context: String,
-    /// The unit's span memo: its `fn` section text from the request.
-    span: Option<SpanMemo>,
+    /// The unit's `fn` section text from the request.
+    span: Option<Box<str>>,
+    profile: Option<Profile>,
     deadline: Option<Instant>,
     fuel: u64,
     cancel: Arc<AtomicBool>,
@@ -356,7 +365,7 @@ fn worker_loop(core: &Arc<Core>) {
         // backstop only exists so a panic in the *loop* machinery can
         // never kill a worker silently. Tests pin it to 0.
         let index = job.index;
-        let name = job.name.clone();
+        let name = job.function.name.clone();
         let tx = job.tx.clone();
         let outcome = catch_unwind(AssertUnwindSafe(|| process_job(core, &mut scratch, job)));
         let response = outcome.unwrap_or_else(|_| {
@@ -376,151 +385,59 @@ fn worker_loop(core: &Arc<Core>) {
     }
 }
 
-/// Optimizes one unit: budget check, span memo, cache lookup (with
-/// re-validation), compute on miss, cache fill.
+/// Optimizes one unit: the cancel check, then the engine's unit cycle —
+/// its plan and finish steps under the engine lock, its work with the lock
+/// released.
 fn process_job(core: &Arc<Core>, scratch: &mut SolverScratch, job: UnitJob) -> Response {
+    let name = &job.function.name;
     if job.cancel.load(Ordering::Relaxed) {
-        return unit_err_response(
-            job.index,
-            &job.name,
-            &UnitError {
-                kind: FailureKind::Cancelled,
-                message: "request abandoned before the unit started".into(),
-            },
-        );
+        let e = UnitError {
+            kind: FailureKind::Cancelled,
+            message: "request abandoned before the unit started".into(),
+        };
+        return unit_err_response(job.index, name, &e);
     }
     let opts = core.opts.batch;
-    let incremental = incremental_eligible(opts.placement, job.weights.as_ref())
-        && job.deadline.is_none()
-        && job.fuel == 0;
-    let opts_tag = options_tag(&opts);
-    // The span memo, before any other work: the same engine step as the
-    // watch cycle's first.
-    if let (true, Some(span)) = (incremental, &job.span) {
-        let mut engine = core.engine.lock().expect("engine lock");
-        let profile = span.profile.as_ref();
-        if let Some(unit) = engine.replay_span(&job.function, &span.text, profile, &opts_tag) {
-            return unit_response(job.index, unit);
-        }
-    }
-    if let Err(e) = verify(&job.function) {
-        return unit_err_response(
-            job.index,
-            &job.name,
-            &UnitError {
-                kind: FailureKind::InvalidInput,
-                message: e.to_string(),
-            },
-        );
-    }
-
-    let mut budget = OptimizeBudget::unlimited().with_cancel_flag(Arc::clone(&job.cancel));
+    let mut budget = OptimizeBudget::unlimited().with_cancel_flag(job.cancel);
     if let Some(deadline) = job.deadline {
         budget = budget.with_deadline(deadline);
     }
     if job.fuel > 0 {
         budget = budget.with_fuel(job.fuel);
     }
-
-    let (key, text) = fingerprint_with_context(&job.function, &job.context);
-
-    let cached: Option<CacheEntry> = if opts.use_cache {
-        let mut engine = core.engine.lock().expect("engine lock");
-        let entry = engine.cache().get(key, &text).cloned();
-        if entry.is_some() {
-            engine.cache_mut().note_hit();
-        } else {
-            engine.cache_mut().note_miss();
-        }
-        entry
-    } else {
-        None
+    // Retained state serves only unbudgeted units: a budgeted one keeps the
+    // budget-enforcing one-shot pipeline.
+    let opts_tag = options_tag(&opts);
+    let unbudgeted = job.deadline.is_none() && job.fuel == 0;
+    let surface = Surface {
+        retained: unbudgeted.then_some(opts_tag.as_str()),
+        cache: opts.use_cache,
     };
-
-    if let Some(entry) = &cached {
-        let is_thin = entry.origin.is_none();
-        match isolate(AssertUnwindSafe(|| {
-            crate::revalidate_entry(entry, opts.seed)
-        })) {
-            Ok(_) => {
-                return Response::UnitOk {
-                    index: job.index,
-                    output: cache::with_name(&entry.output_text, &job.name),
-                };
-            }
-            Err(_) if is_thin => {
-                // A persisted entry that fails re-validation is quarantined
-                // (evicted + counted) and the unit recomputed from scratch:
-                // disk corruption must cost warmth, not correctness — and
-                // not availability either.
-                let mut engine = core.engine.lock().expect("engine lock");
-                engine.cache_mut().remove(key);
-                engine.note_entry_quarantine();
-            }
-            Err(e) => {
-                // An entry poisoned *in this process* is a real fault; the
-                // batch engine reports it the same way.
-                return unit_err_response(job.index, &job.name, &e);
-            }
+    let unit = UnitIn {
+        function: &job.function,
+        span: job.span.map(|text| Cow::Owned(text.into_string())),
+        profile: job.profile.as_ref(),
+    };
+    let plan = core
+        .engine
+        .lock()
+        .expect("engine lock")
+        .plan(&unit, surface, None);
+    let done = match plan {
+        Plan::Done(done) => done,
+        Plan::Work(work) => {
+            let out = work.run(&job.function, &opts, &budget, scratch);
+            let mut engine = core.engine.lock().expect("engine lock");
+            engine.finish(unit, work, out, surface)
         }
-    }
-
-    // The incremental hot path: for un-budgeted plain-LCM units, reuse the
-    // fixpoints retained from this function's previous revision and charge
-    // only for the blocks the edit can reach, solving with the engine
-    // unlocked. Budgeted units keep the budget-enforcing pipeline; output
-    // text is bit-identical either way (pinned by `tests/incremental.rs`
-    // and the serve smoke in ci.sh).
-    if incremental {
-        let prev = core
-            .engine
-            .lock()
-            .expect("engine lock")
-            .take_prev_solve(&job.name);
-        let step = PreStep::Incremental(prev.as_ref().map(|p| &p.state));
-        let computed = isolate(AssertUnwindSafe(|| {
-            optimize_unit(&job.function, &opts, None, &job.context, step, scratch)
-        }));
-        let mut engine = core.engine.lock().expect("engine lock");
-        let had_prev = prev.is_some();
-        let (unit, entry) =
-            engine.finish_incremental(&job.function, key, &opts_tag, had_prev, computed, job.span);
-        if let (true, Some(entry)) = (opts.use_cache, entry) {
-            engine.cache_mut().insert(key, entry);
-        }
-        return unit_response(job.index, unit);
-    }
-
-    let computed = isolate(AssertUnwindSafe(|| {
-        optimize_unit(
-            &job.function,
-            &opts,
-            job.weights.as_ref(),
-            &job.context,
-            PreStep::OneShot(&budget),
-            scratch,
-        )
-    }));
-    match computed {
-        Ok(run) => {
-            let output = cache::with_name(&run.entry.output_text, &job.name);
-            if opts.use_cache {
-                let mut engine = core.engine.lock().expect("engine lock");
-                engine.cache_mut().insert(key, run.entry);
-            }
-            Response::UnitOk {
-                index: job.index,
-                output,
-            }
-        }
-        Err(e) => unit_err_response(job.index, &job.name, &e),
-    }
-}
-
-fn unit_response(index: u32, unit: IncrementalUnit) -> Response {
-    match unit.outcome {
-        Ok(output) => Response::UnitOk { index, output },
-        Err(e) => unit_err_response(index, &unit.name, &e),
+        Plan::Replay { .. } => unreachable!("only a batch plans replays"),
+    };
+    match done.outcome {
+        Ok(s) => Response::UnitOk {
+            index: job.index,
+            output: s.output,
+        },
+        Err(e) => unit_err_response(job.index, name, &e),
     }
 }
 
@@ -644,23 +561,10 @@ fn handle_optimize(
         }
     };
     let n = parsed.len();
-    let placement = core.opts.batch.placement;
-
-    // Resolve profiles by name before the module is taken apart: edge
-    // weights exactly as the batch engine resolves them, so a daemon
-    // answer is the batch answer, and the profile a span memo keeps — only
-    // under speculative placement, as `SpanMemo::new` keeps it.
-    let resolved: Vec<(Option<EdgeWeights>, Option<Profile>)> = parsed
+    // Look the profiles up by name before the module is taken apart.
+    let profiles: Vec<Option<Profile>> = parsed
         .iter()
-        .map(|f| {
-            let profile = parsed.profile(&f.name);
-            if placement == PreAlgorithm::Speculative {
-                let weights = profile.and_then(|p| EdgeWeights::from_profile(f, p).ok());
-                (weights, profile.cloned())
-            } else {
-                (None, None)
-            }
-        })
+        .map(|f| parsed.profile(&f.name).cloned())
         .collect();
 
     // Admission: all units or none.
@@ -682,18 +586,12 @@ fn handle_optimize(
             );
         }
         q.outstanding += n;
-        for (i, ((f, source), (weights, profile))) in
-            parsed.into_sections().zip(resolved).enumerate()
-        {
-            let context = unit_context(placement, weights.as_ref());
-            let span = source.map(|text| SpanMemo { text, profile });
+        for (i, ((function, span), profile)) in parsed.into_sections().zip(profiles).enumerate() {
             q.jobs.push_back(UnitJob {
                 index: i as u32,
-                name: f.name.clone(),
-                function: f,
-                weights,
-                context,
+                function,
                 span,
+                profile,
                 deadline,
                 fuel,
                 cancel: Arc::clone(&cancel),

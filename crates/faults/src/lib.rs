@@ -364,6 +364,40 @@ pub fn corrupt_cache_file(
     Ok(landed)
 }
 
+/// Poisons one *entry* of the `lcm-cache-v1` file at `path` while keeping
+/// the file valid: the entry's output gains an observation its input does
+/// not make, so it still parses and verifies but diverges from the input,
+/// and the file is saved again through [`lcm_driver::save_cache`], so every
+/// checksum still holds. This models a bad answer written to disk by a
+/// buggy or hostile producer — the case file-level checks cannot catch.
+/// The entry is picked by `seed` among the file's entries.
+///
+/// Returns the poisoned entry's key, or `None` (file untouched) when the
+/// file holds no entries.
+///
+/// # Errors
+///
+/// An I/O error, or a file that does not load as a cache.
+pub fn poison_persisted_entry(path: &std::path::Path, seed: u64) -> std::io::Result<Option<u128>> {
+    let (mut cache, counters) = lcm_driver::load_cache(path, 0).map_err(std::io::Error::other)?;
+    let keys: Vec<u128> = cache.iter_fifo().map(|(k, _)| k).collect();
+    if keys.is_empty() {
+        return Ok(None);
+    }
+    let mut state = seed ^ 0x5EED_FA17_u64;
+    let key = keys[(splitmix64(&mut state) % keys.len() as u64) as usize];
+    let entry = cache.entry_mut(key).expect("the key was just listed");
+    // Right after the first block label: one fresh variable, observed.
+    let (head, body) = entry
+        .output_text
+        .split_once(":\n")
+        .expect("a printed function has a block label");
+    let var = format!("poison{:x}", splitmix64(&mut state) & 0xffff);
+    entry.output_text = format!("{head}:\n  {var} = 7\n  obs {var}\n{body}");
+    lcm_driver::save_cache(path, &cache, counters)?;
+    Ok(Some(key))
+}
+
 /// Runs the fused LCM pipeline on `f` with a [`SolverScratch`] that is
 /// corrupted at a reuse boundary — the scratch-sharing bug the batch
 /// driver's per-worker arenas could develop. The corruption is

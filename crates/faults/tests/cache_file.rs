@@ -2,15 +2,20 @@
 //! [`CacheFileFault`] must be refused by `load_cache`, quarantined by
 //! `load_or_quarantine` (cold cache, evidence preserved in the `.corrupt`
 //! sidecar), and survived by the batch engine — a corrupt file costs
-//! cache warmth, never correctness or availability.
+//! cache warmth, never correctness or availability. A *valid* file holding
+//! one bad entry ([`poison_persisted_entry`]) is caught per entry instead:
+//! the hit is re-validated at every tier, and the entry is quarantined and
+//! recomputed.
 
 use std::path::{Path, PathBuf};
 
+use lcm_core::validate::ValidationLevel;
 use lcm_driver::{
     corrupt_sidecar, load_cache, load_or_quarantine, report, save_cache, tmp_path, BatchEngine,
     BatchOptions, CacheFileError, LifetimeCounters, LoadStatus, PlanCache, CACHE_FORMAT_VERSION,
 };
-use lcm_faults::{corrupt_cache_file, CacheFileFault};
+use lcm_faults::{corrupt_cache_file, poison_persisted_entry, CacheFileFault};
+use lcm_ir::parse_function;
 use lcm_ir::parse_module;
 
 const MODULE: &str = "fn d {
@@ -197,6 +202,51 @@ fn batch_engine_survives_every_fault_with_identical_answers() {
         let (reloaded, counters) = load_cache(&path, 0).unwrap();
         assert!(!reloaded.is_empty());
         assert_eq!(counters.quarantines, 1);
+    }
+}
+
+#[test]
+fn a_poisoned_persisted_entry_is_quarantined_at_every_tier() {
+    let dir = TempDir::new("poisoned-entry");
+    let m = parse_module(MODULE).expect("module parses");
+    for validate in [ValidationLevel::Fast, ValidationLevel::Off] {
+        let opts = BatchOptions {
+            validate,
+            ..BatchOptions::default()
+        };
+        let want = report::render_text(&BatchEngine::new(opts).run_module(&m));
+        let path = dir.path(&format!("{validate:?}.cache"));
+        let mut engine = BatchEngine::with_cache_file(opts, &path);
+        engine.run_module(&m);
+        engine.flush_cache_file().unwrap();
+        let (honest, _) = load_cache(&path, 0).unwrap();
+
+        let key = poison_persisted_entry(&path, 1).unwrap().expect("entries");
+        // The file stays valid and the bad output still parses and
+        // verifies: only re-validating the hit can tell.
+        let (poisoned, _) = load_cache(&path, 0).expect("checksums still hold");
+        let text = |c: &PlanCache| {
+            let (_, e) = c.iter_fifo().find(|(k, _)| *k == key).expect("entry");
+            e.output_text.clone()
+        };
+        let bad = parse_function(&text(&poisoned)).expect("still parses");
+        lcm_ir::verify(&bad).expect("still verifies");
+        assert_ne!(text(&poisoned), text(&honest));
+
+        // Two runs: the first quarantines and recomputes, the second finds
+        // the honest entry the first flushed back. Neither fails a unit or
+        // serves the diverging text.
+        for run in 0..2 {
+            let mut engine = BatchEngine::with_cache_file(opts, &path);
+            let result = engine.run_module(&m);
+            assert_eq!(result.totals.failed, 0, "{validate:?} run {run}");
+            assert_eq!(report::render_text(&result), want, "{validate:?} run {run}");
+            let lifetime = engine.lifetime().expect("file-backed");
+            assert_eq!(lifetime.quarantines, 1, "{validate:?} run {run}");
+            engine.flush_cache_file().unwrap();
+        }
+        let (reloaded, _) = load_cache(&path, 0).unwrap();
+        assert_eq!(text(&reloaded), text(&honest), "{validate:?}");
     }
 }
 

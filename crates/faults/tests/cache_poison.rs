@@ -5,8 +5,9 @@
 //! the live pipeline: poison an entry through
 //! [`lcm_faults::poison_cached_plan`], request the same body again, and
 //! the hit must fail with [`FailureKind::PoisonedCache`] instead of
-//! serving the poisoned plan. With validation off the driver trusts the
-//! cache — that trade-off is pinned down here too.
+//! serving the poisoned plan — at every validation tier, `off` included:
+//! a hit is re-validated at the fast tier whatever the tier of computed
+//! units.
 
 use lcm_core::validate::ValidationLevel;
 use lcm_driver::{
@@ -103,10 +104,9 @@ fn poisoned_entry_fails_only_the_hit_unit() {
 }
 
 #[test]
-fn validation_off_trusts_the_cache() {
-    // With validation disabled there is no hit-revalidation, so the
-    // poisoned entry is served — the documented trade-off of `--validate
-    // off`, pinned here so a change to it is a conscious one.
+fn validation_off_still_rejects_a_poisoned_hit() {
+    // Validation off governs computed units only: the hit is re-validated
+    // at the fast tier all the same, so the poisoned entry is not served.
     let mut engine = BatchEngine::new(BatchOptions {
         validate: ValidationLevel::Off,
         ..BatchOptions::default()
@@ -120,8 +120,12 @@ fn validation_off_trusts_the_cache() {
         5
     ));
     let second = engine.run(vec![unit(&diamond("second"))]);
-    assert_eq!(second.totals.ok, 1);
+    assert_eq!(second.totals.ok, 0);
     assert_eq!(second.units[0].cache, CacheDisposition::Hit);
+    let UnitOutcome::Failed(e) = &second.units[0].outcome else {
+        panic!("poisoned hit was served under validation off");
+    };
+    assert_eq!(e.kind, FailureKind::PoisonedCache);
 }
 
 #[test]

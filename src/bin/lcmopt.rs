@@ -295,7 +295,9 @@ fn batch_usage() -> &'static str {
      byte-identical for every --jobs value; timing goes to stderr.\n\
      --cache-file persists the plan cache across runs in the lcm-cache-v1 \
      format (corrupt files are quarantined to a .corrupt sidecar and the \
-     run proceeds cold).\n\
+     run proceeds cold). Every cache hit is re-validated at the fast tier, \
+     whatever --validate says; a persisted entry that fails is quarantined \
+     (counted on the stats lifetime line), recomputed, and written back.\n\
      exit codes: 0 ok, 1 internal error, 2 usage, 3 parse, 5 any unit failed"
 }
 
@@ -597,7 +599,10 @@ fn serve_usage() -> &'static str {
      the cache durably, and exits 0.\n\
      --cache-file persists the plan cache (lcm-cache-v1; corrupt files are \
      quarantined to a .corrupt sidecar and the daemon starts cold). The \
-     file is rewritten atomically after every request.\n\
+     file is rewritten atomically after every request. Every cache hit is \
+     re-validated at the fast tier, whatever --validate says; a persisted \
+     entry that fails is quarantined (counted on the --stats lifetime \
+     line) and recomputed.\n\
      --workers 0 (the default) uses all available cores. --queue-cap \
      bounds admitted-but-unfinished units (0 = unbounded); requests beyond \
      it are shed with OVERLOADED and the --retry-after-ms hint."

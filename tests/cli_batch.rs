@@ -1,6 +1,6 @@
 //! End-to-end tests of the `lcmopt batch` subcommand: determinism across
-//! thread counts, the file / directory / stdin input paths, and the batch
-//! exit-code contract.
+//! thread counts, the file / directory / stdin input paths, the batch
+//! exit-code contract, and the persisted cache's per-entry quarantine.
 
 use std::io::Write;
 use std::path::PathBuf;
@@ -289,4 +289,44 @@ fn cache_file_persists_and_stats_show_lifetime_totals() {
     // Without --cache-file there is no lifetime line.
     let (_, stats, _) = batch(&[&module, "--emit", "stats"], "");
     assert!(!stats.contains("lifetime:"), "{stats}");
+}
+
+#[test]
+fn a_poisoned_cache_entry_is_quarantined_not_served_or_failed() {
+    let scratch = Scratch::new("poisoned_entry");
+    let module = scratch.file("m.lcm", MODULE);
+    let cache_path = scratch.0.join("plans.cache");
+    let cache = cache_path.display().to_string();
+    let (code, want, stderr) = batch(&[&module], "");
+    assert_eq!(code, 0, "{stderr}");
+    let (code, _, stderr) = batch(&[&module, "--cache-file", &cache], "");
+    assert_eq!(code, 0, "{stderr}");
+    let output = |key: u128| {
+        let (c, _) = lcm::driver::load_cache(&cache_path, 0).expect("valid cache file");
+        let (_, e) = c.iter_fifo().find(|(k, _)| *k == key).expect("entry");
+        e.output_text.clone()
+    };
+    let (before, _) = lcm::driver::load_cache(&cache_path, 0).expect("valid cache file");
+    let key = lcm_faults::poison_persisted_entry(&cache_path, 4)
+        .expect("poison the file")
+        .expect("the file has entries");
+    let (_, honest) = before.iter_fifo().find(|(k, _)| *k == key).expect("entry");
+    assert_ne!(output(key), honest.output_text);
+
+    // Each run re-validates the hit, quarantines the bad entry and
+    // recomputes it, and the flush writes the honest entry back; the file
+    // never makes a later run fail.
+    for run in 0..2 {
+        let (code, out, stderr) = batch(&[&module, "--cache-file", &cache], "");
+        assert_eq!(code, 0, "run {run}: {stderr}");
+        assert_eq!(out, want, "run {run}");
+    }
+    let (code, stats, stderr) = batch(&[&module, "--cache-file", &cache, "--emit", "stats"], "");
+    assert_eq!(code, 0, "{stderr}");
+    let lifetime = stats
+        .lines()
+        .find(|l| l.starts_with("lifetime: "))
+        .unwrap_or_else(|| panic!("no lifetime line in:\n{stats}"));
+    assert!(lifetime.contains(" 1 quarantines"), "{lifetime}");
+    assert_eq!(output(key), honest.output_text);
 }

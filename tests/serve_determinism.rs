@@ -1,16 +1,20 @@
 //! Determinism and robustness-pillar tests for the `lcmopt serve` daemon:
 //! daemon answers are byte-identical to `lcmopt batch` answers — cold,
-//! from the span memo, from a re-validated plan-cache hit, warm from a
-//! persisted cache, and after a quarantine — and the watchdog
-//! and admission-control pillars produce their typed responses without
+//! from the span memo, from a delta on retained state, warm from a
+//! persisted cache, after a whole-file quarantine, and after a poisoned
+//! persisted entry is quarantined and recomputed — and the watchdog and
+//! admission-control pillars produce their typed responses without
 //! costing the connection — and a daemon fed an edit stream keeps the same
-//! incremental ledger as `lcmopt watch` fed the same stream.
+//! incremental ledger as `lcmopt watch` fed the same stream, because both
+//! run the engine's one unit cycle: a name with retained state is answered
+//! by its incremental step, never by the plan cache.
 
 use std::path::PathBuf;
 
+use lcm::core::validate::ValidationLevel;
 use lcm::driver::protocol::{read_response, write_request, Request, Response};
 use lcm::driver::serve::{ConnectionEnd, Daemon, ServeOptions};
-use lcm::driver::{report, BatchEngine, BatchOptions, LoadStatus};
+use lcm::driver::{load_cache, report, BatchEngine, BatchOptions, LoadStatus};
 use lcm::ir::parse_module;
 
 const MODULE: &str = "fn d {
@@ -132,17 +136,23 @@ fn daemon_answers_match_batch_at_any_worker_count() {
         // bytes must not change.
         let (responses, _) = roundtrip(&d, &optimize_request(MODULE, 0, 0));
         assert_eq!(assemble(&responses), want, "workers={workers} (cached)");
-        // A comment inside `d`: its span memo misses, and the plan cache
-        // answers the parse-identical function, re-validated, with the
-        // same bytes.
+        // A comment inside `d`: its span memo misses, and its retained
+        // state answers the parse-identical function with a delta — not
+        // the plan cache — with the same bytes.
         let cache = "cache: 0 hits, 3 misses, 0 evictions, 3 entries";
         assert_eq!(stats_line(&d, "cache: "), cache, "workers={workers}");
         let commented = MODULE.replace("  y = a + b\n", "  y = a + b # recomputed\n");
         assert_ne!(commented, MODULE);
         let (responses, _) = roundtrip(&d, &optimize_request(&commented, 0, 0));
         assert_eq!(assemble(&responses), want, "workers={workers} (comment)");
-        let cache = "cache: 1 hits, 3 misses, 0 evictions, 3 entries";
         assert_eq!(stats_line(&d, "cache: "), cache, "workers={workers}");
+        let classes = "edit classes: 1 content, 0 universe-grow, 0 universe-shrink, \
+                       0 shape-mapped, 0 fallback, 5 zero-dirty";
+        assert_eq!(
+            stats_line(&d, "edit classes: "),
+            classes,
+            "workers={workers}"
+        );
         assert_eq!(d.panics_contained(), 0);
         d.shutdown().unwrap();
     }
@@ -287,9 +297,10 @@ fn overload_is_shed_whole_and_recovers() {
 
 /// One revision per edit class, each applied to one function while the
 /// other replays its memo: identical, content, universe-grow,
-/// universe-shrink, shape-mapped, fallback. No revision reverts a body the
-/// plan cache has seen, so the daemon's cache never answers in place of
-/// its incremental path.
+/// universe-shrink, shape-mapped, fallback; then a comment-only edit of
+/// `d` (a delta with nothing dirty), a resend of that commented text (a
+/// span-memo replay), and a revert of `d` to its first body, which the
+/// daemon's plan cache holds — yet retained state answers it.
 fn edit_stream() -> Vec<String> {
     let rev0 = "fn d {\nentry:\n  br c, l, r\nl:\n  x = a + b\n  jmp join\nr:\n  jmp join\n\
                 join:\n  y = a + b\n  obs y\n  ret\n}\n\n\
@@ -300,7 +311,77 @@ fn edit_stream() -> Vec<String> {
     let shrink = grow.replace("x = p * q\n  obs x\n", "");
     let shape = shrink.replace("r:\n  jmp join", "r:\n  jmp detour\ndetour:\n  jmp join");
     let fallback = shape.replace("x = a + b\n  jmp join", "x = a + b\n  jmp detour");
-    vec![rev0.clone(), rev0, content, grow, shrink, shape, fallback]
+    let commented = fallback.replace("  y = a + b\n", "  y = a + b # recomputed\n");
+    assert_ne!(commented, fallback);
+    let d0 = &rev0[..rev0.find("\n\nfn straight").expect("two functions")];
+    let straight = &commented[commented.find("\n\nfn straight").expect("two functions")..];
+    let revert = format!("{d0}{straight}");
+    vec![
+        rev0.clone(),
+        rev0,
+        content,
+        grow,
+        shrink,
+        shape,
+        fallback,
+        commented.clone(),
+        commented,
+        revert,
+    ]
+}
+
+#[test]
+fn a_poisoned_persisted_entry_is_never_served_at_any_tier() {
+    let dir = TempDir::new("poisoned-entry");
+    for validate in [ValidationLevel::Fast, ValidationLevel::Off] {
+        let batch = BatchOptions {
+            validate,
+            ..BatchOptions::default()
+        };
+        let m = parse_module(MODULE).expect("module parses");
+        let want = report::render_text(&BatchEngine::new(batch).run_module(&m));
+        let cache_file = dir.0.join(format!("{validate:?}.cache"));
+        let opts = ServeOptions {
+            batch,
+            workers: 2,
+            cache_file: Some(cache_file.clone()),
+            ..ServeOptions::default()
+        };
+        let d = Daemon::start(opts.clone());
+        roundtrip(&d, &optimize_request(MODULE, 0, 0));
+        d.shutdown().unwrap();
+        let (before, _) = load_cache(&cache_file, 0).unwrap();
+        let key = lcm_faults::poison_persisted_entry(&cache_file, 9)
+            .unwrap()
+            .expect("the file has entries");
+
+        // Two lifetimes: the first re-validates the hit, quarantines the
+        // entry and recomputes it; the second loads the honest entry the
+        // first flushed back.
+        for lifetime in 0..2 {
+            let d = Daemon::start(opts.clone());
+            let (responses, _) = roundtrip(&d, &optimize_request(MODULE, 0, 0));
+            assert_eq!(
+                responses.last(),
+                Some(&Response::Done { ok: 3, failed: 0 }),
+                "{validate:?} lifetime {lifetime}"
+            );
+            assert_eq!(
+                assemble(&responses),
+                want,
+                "{validate:?} lifetime {lifetime}"
+            );
+            let line = stats_line(&d, "lifetime: ");
+            assert!(line.contains(" 1 quarantines"), "{validate:?}: {line}");
+            d.shutdown().unwrap();
+        }
+        let (after, _) = load_cache(&cache_file, 0).unwrap();
+        let text = |c: &lcm::driver::PlanCache| {
+            let (_, e) = c.iter_fifo().find(|(k, _)| *k == key).expect("entry");
+            e.output_text.clone()
+        };
+        assert_eq!(text(&after), text(&before), "{validate:?}");
+    }
 }
 
 /// The daemon's STATS line starting with `prefix`.
