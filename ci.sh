@@ -17,14 +17,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test --workspace -q"
+echo "==> cargo test --workspace -q (includes the lcm-faults and lcm-driver suites)"
 cargo test --workspace -q
-
-echo "==> cargo test -p lcm-faults -q (fault-injection suite)"
-cargo test -p lcm-faults -q
-
-echo "==> cargo test -p lcm-driver -q (batch driver suite)"
-cargo test -p lcm-driver -q
 
 # Batch smoke: the workload suite as one module must optimize to
 # byte-identical output at every thread count.

@@ -766,9 +766,10 @@ fn c3() {
 /// cost of betting on that distribution.
 fn c5() {
     use lcm_core::{
-        optimize_speculative_checked_with, validate::sample_inputs, EdgeWeights, ValidationLevel,
+        optimize_checked, validate::sample_inputs, EdgeWeights, OptimizeBudget, Options, Session,
+        ValidationLevel,
     };
-    use lcm_dataflow::{SolveStrategy, SolverScratch};
+    use lcm_dataflow::SolveStrategy;
     use lcm_ir::Profile;
     use std::cmp::Ordering;
 
@@ -801,15 +802,15 @@ fn c5() {
         };
         let bcm = optimize(f, PreAlgorithm::Busy).expect("bcm");
         let lcm = optimize(f, PreAlgorithm::LazyEdge).expect("lcm");
-        let (spec, _) = optimize_speculative_checked_with(
-            f,
-            &w,
-            ValidationLevel::Off,
-            0,
-            SolveStrategy::default(),
-            &mut SolverScratch::new(),
-        )
-        .expect("spec");
+        let opts = Options {
+            placement: PreAlgorithm::Speculative,
+            validate: ValidationLevel::Off,
+            seed: 0,
+            solver: SolveStrategy::default(),
+        };
+        let budget = OptimizeBudget::unlimited();
+        let (spec, _) =
+            optimize_checked(f, Some(&w), &opts, &budget, &mut Session::new()).expect("spec");
         let s = spec.spec.expect("speculative runs record stats");
         candidates += s.candidates;
         speculated += s.speculated;

@@ -4,12 +4,13 @@
 //! A *content* edit changes what a block computes (replace an assignment's
 //! right-hand side, insert or delete an instruction, append a kill) while
 //! leaving the CFG shape — block count and successor lists — untouched, so
-//! the delta path of `lcm_core::optimize_incremental_checked_with` stays
-//! applicable. A
-//! *shape* edit adds a block (edge split) or an edge (a jump rewritten as
-//! a two-way branch with coinciding targets), exercising the full-solve
-//! fallback contract. Every edit keeps the function well-formed
-//! ([`lcm_ir::verify`]-clean) and is deterministic in the RNG stream.
+//! the delta solve of the checked call (`lcm_core::optimize_checked` on a
+//! retaining session) stays applicable. A *shape* edit adds a block (an
+//! edge split, one of the one-block edits the delta maps onto its retained
+//! rows) or an edge (a jump rewritten as a two-way branch with coinciding
+//! targets, which exercises the full-solve fallback contract). Every edit
+//! keeps the function well-formed ([`lcm_ir::verify`]-clean) and is
+//! deterministic in the RNG stream.
 
 use lcm_ir::{BinOp, BlockId, Expr, Function, Instr, Operand, Rvalue, Terminator, Var};
 

@@ -27,7 +27,9 @@
 //!    the remapped baseline ∪ the entry block when the virtual-entry
 //!    EARLIEST moved;
 //! 4. **verify** — the result goes through the fast-tier validator
-//!    *unconditionally*, so an unsound delta can never escape.
+//!    *unconditionally* (the floor of the checked call,
+//!    [`optimize_checked`](crate::optimize_checked)), so an unsound delta
+//!    can never escape.
 //!
 //! Correctness rests on the framework's monotone-unique-fixpoint property:
 //! components not in the directional closure of the change provably keep
@@ -41,7 +43,6 @@
 //! [`Problem::try_delta_solve_with`]: lcm_dataflow::Problem::try_delta_solve_with
 
 use std::borrow::Cow;
-use std::time::Instant;
 
 use lcm_dataflow::{
     BitMatrix, BitSet, CfgView, Solution, SolveStats, SolveStrategy, SolverScratch,
@@ -53,12 +54,12 @@ use crate::lcm_edge::{derive_placement, later_problem};
 use crate::pipeline::{self, PipelineStats};
 use crate::predicates::LocalPredicates;
 use crate::universe::ExprUniverse;
-use crate::validate::{validate_optimized, ValidationLevel, ValidationReport};
+use crate::validate::ValidationReport;
 use crate::{Optimized, PipelineError, PreAlgorithm};
 
 /// The previous revision's analyses, kept warm between edits: everything
-/// [`optimize_incremental_checked_with`] needs to charge only for what
-/// changed.
+/// a delta solve needs to charge only for what changed. A retaining
+/// [`Session`](crate::Session) holds one between calls.
 #[derive(Clone, Debug)]
 pub struct IncrementalState {
     /// The function the fixpoints below were computed for.
@@ -100,26 +101,24 @@ pub struct IncrementalStats {
     pub shape_mapped: bool,
 }
 
-/// Wall-clock phase split of one incremental call: the analysis phase
-/// (diff, predicate repair, remapping, the three fixpoint solves) versus
-/// the tail (placement derivation, rewrite, unconditional validation).
-/// Timings are measurement metadata and deliberately live outside
-/// [`IncrementalStats`], which is `Eq` and participates in determinism
-/// comparisons.
+/// Wall-clock phase split of one checked call: the solve (diff, predicate
+/// repair, remapping, the fixpoint solves, placement and rewrite) versus
+/// the tail (validation). Timings are measurement metadata and
+/// deliberately live outside [`IncrementalStats`], which is `Eq` and
+/// participates in determinism comparisons.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PhaseNanos {
-    /// Nanoseconds from entry through the last fixpoint solve. The
-    /// fallback path cannot split its from-scratch pipeline, so its
-    /// rewrite cost lands here too (its tail is validation only).
+    /// Nanoseconds from the start of the solve through the rewritten
+    /// function.
     pub solve_ns: u64,
-    /// Nanoseconds for everything after the solves: placement, rewrite,
-    /// and the fast validation tier.
+    /// Nanoseconds for everything after it: validation in the call, and
+    /// whatever else a driver charges to the unit's tail.
     pub tail_ns: u64,
 }
 
-/// Everything [`optimize_incremental_checked_with`] returns: the optimized
-/// result, the validator's report, the refreshed state for the next edit,
-/// and the delta accounting.
+/// Everything [`optimize_incremental_checked_with`](crate::optimize_incremental_checked_with)
+/// returns: the optimized result, the validator's report, the refreshed
+/// state for the next edit, and the delta accounting.
 #[derive(Clone, Debug)]
 pub struct IncrementalOutcome {
     /// The optimization result, identical to what [`crate::optimize`]
@@ -140,6 +139,7 @@ impl IncrementalState {
     /// [`SolveStrategy`] and a caller-owned [`SolverScratch`], and captures
     /// every fixpoint for later delta solves. The [`Optimized`] result is
     /// identical to [`crate::optimize`] with [`PreAlgorithm::LazyEdge`].
+    /// Unvalidated: the checked call's fresh solve validates it.
     ///
     /// # Errors
     ///
@@ -176,9 +176,8 @@ impl IncrementalState {
     }
 
     /// Scrambles the stored fixpoints with seeded noise while keeping
-    /// their shape intact, so the next
-    /// [`optimize_incremental_checked_with`] seeds its
-    /// delta solves from garbage. Exists for fault-injection harnesses
+    /// their shape intact, so the next delta solve against this state
+    /// seeds from garbage. Exists for fault-injection harnesses
     /// (`lcm-faults`): the unconditional fast validation must catch any
     /// resulting unsound plan — never silently wrong.
     pub fn poison_solutions(&mut self, seed: u64) {
@@ -447,64 +446,47 @@ fn remap_matrix(
     }
 }
 
-/// Re-optimizes an edited revision of `prev`'s function, paying only for
-/// the blocks the edit can influence, then validates the result.
-///
-/// The validation floor is [`ValidationLevel::Fast`]: passing
-/// [`ValidationLevel::Off`] is silently promoted, because the delta path's
-/// soundness argument *is* the validator (cf. translation validation).
-/// Universe changes are remapped (growth rides the solver's in-place row
-/// widening) and the two recognized one-block shape edits are carried by
-/// an old→new block map; anything more complex falls back to a
-/// from-scratch pipeline — still validated — and reports
-/// [`IncrementalStats::full_fallback`]. `strategy` selects the solver of
-/// that fallback; the delta solves always drain SCC components.
-///
-/// # Errors
-///
-/// [`PipelineError::Solver`] if an analysis diverges,
-/// [`PipelineError::Validation`] if the result violates a paper invariant.
-pub fn optimize_incremental_checked_with(
-    prev: &IncrementalState,
+/// The checked call's retained solve, unvalidated: a delta against `prev`,
+/// or [`IncrementalState::fresh_with`] when there is none or the edit
+/// cannot be mapped onto it (a [`IncrementalStats::full_fallback`]).
+pub(crate) fn solve(
+    prev: Option<&IncrementalState>,
     f: &Function,
-    level: ValidationLevel,
-    seed: u64,
     strategy: SolveStrategy,
     scratch: &mut SolverScratch,
-) -> Result<IncrementalOutcome, PipelineError> {
-    let t_start = Instant::now();
-    let level = if level == ValidationLevel::Off {
-        ValidationLevel::Fast
-    } else {
-        level
+) -> Result<(Optimized, IncrementalState, IncrementalStats), PipelineError> {
+    if let Some(prev) = prev {
+        if let Some(delta) = delta(prev, f, scratch)? {
+            return Ok(delta);
+        }
+    }
+    let (optimized, state) = IncrementalState::fresh_with(f, strategy, scratch)?;
+    let stats = IncrementalStats {
+        full_fallback: prev.is_some(),
+        ..IncrementalStats::default()
     };
-    let uni = ExprUniverse::of(f);
+    Ok((optimized, state, stats))
+}
 
+/// Re-solves an edited revision of `prev`'s function, paying only for the
+/// blocks the edit can influence (see the module documentation); `None`
+/// for an edit too complex to map — the strict full-solve fallback.
+fn delta(
+    prev: &IncrementalState,
+    f: &Function,
+    scratch: &mut SolverScratch,
+) -> Result<Option<(Optimized, IncrementalState, IncrementalStats)>, PipelineError> {
     // Classify the shape edit: identity, one recognized cheap edit (block
-    // map), or too complex — the strict fallback contract.
+    // map), or too complex.
     let shape_map: Option<ShapeMap> = if same_shape(&prev.function, f) {
         None
     } else {
-        match map_shape_edit(&prev.function, f) {
-            Some(sm) => Some(sm),
-            None => {
-                let (optimized, state) = IncrementalState::fresh_with(f, strategy, scratch)?;
-                let solve_ns = t_start.elapsed().as_nanos() as u64;
-                let report = validate_optimized(f, &optimized, level, seed)?;
-                let tail_ns = (t_start.elapsed().as_nanos() as u64).saturating_sub(solve_ns);
-                return Ok(IncrementalOutcome {
-                    optimized,
-                    report,
-                    state,
-                    stats: IncrementalStats {
-                        full_fallback: true,
-                        ..IncrementalStats::default()
-                    },
-                    phases: PhaseNanos { solve_ns, tail_ns },
-                });
-            }
-        }
+        let Some(sm) = map_shape_edit(&prev.function, f) else {
+            return Ok(None);
+        };
+        Some(sm)
     };
+    let uni = ExprUniverse::of(f);
     let shape_mapped = shape_map.is_some();
     let (udelta, universe_grew, universe_shrunk) = universe_delta(&prev.universe, &uni);
     let map_block = |i: usize| shape_map.as_ref().map_or(i, |sm| sm.old_to_new[i].index());
@@ -687,7 +669,6 @@ pub fn optimize_incremental_checked_with(
         prev_later,
         &later_changed,
     )?;
-    let solve_ns = t_start.elapsed().as_nanos() as u64;
     let lazy = derive_placement(f, &uni, &local, &ga, later.clone());
     let pipeline_stats = PipelineStats {
         avail: ga.avail.stats,
@@ -703,8 +684,6 @@ pub fn optimize_incremental_checked_with(
         Some(pipeline_stats),
         None,
     );
-    let report = validate_optimized(f, &optimized, level, seed)?;
-    let tail_ns = (t_start.elapsed().as_nanos() as u64).saturating_sub(solve_ns);
     let stats = IncrementalStats {
         full_fallback: avail_info.full_fallback
             || antic_info.full_fallback
@@ -724,19 +703,14 @@ pub fn optimize_incremental_checked_with(
         ga,
         later,
     };
-    Ok(IncrementalOutcome {
-        optimized,
-        report,
-        state,
-        stats,
-        phases: PhaseNanos { solve_ns, tail_ns },
-    })
+    Ok(Some((optimized, state, stats)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optimize;
+    use crate::validate::ValidationLevel;
+    use crate::{optimize, optimize_incremental_checked_with};
     use lcm_ir::parse_function;
 
     fn fresh(f: &Function) -> (Optimized, IncrementalState) {

@@ -54,24 +54,24 @@
 //!
 //! * [`optimize`] — one algorithm, no validation, default solver: the
 //!   quickstart above.
-//! * [`optimize_checked`] — the checked pass boundary every driver uses:
+//! * [`optimize_checked`] — the one checked PRE call every driver uses:
 //!   any algorithm (with an optional edge profile for
-//!   [`PreAlgorithm::Speculative`]), validated at the requested
-//!   [`validate::ValidationLevel`], under an [`OptimizeBudget`], with a
-//!   caller-chosen solver strategy and reusable scratch arena.
-//!   [`optimize_speculative_checked_with`] is its speculative spelling.
+//!   [`PreAlgorithm::Speculative`]) under [`Options`], validated, under an
+//!   [`OptimizeBudget`]; a [`Session`] that retains state turns it into
+//!   the edit-stream pair of a fresh solve and later delta solves.
 //! * [`optimize_pipeline`] — LCSE, then [`optimize`], then the
 //!   [`passes::cleanup`] tail.
 //! * [`lcm_with`] — the fused analysis pipeline alone (universe, local
 //!   predicates, availability, anticipability, LATER, placement), for
 //!   callers that want the fixpoints rather than the rewritten function.
-//! * [`IncrementalState::fresh_with`] and
-//!   [`optimize_incremental_checked_with`] — the edit-stream pair: a fresh
-//!   solve that retains its fixpoints, then delta solves against them.
+//! * [`optimize_speculative_checked_with`] and
+//!   [`optimize_incremental_checked_with`] — the call on a caller's scratch
+//!   arena, kept for the benchmark's recomposed pipeline.
 
 mod analyses;
 mod bcm;
 mod budget;
+mod checked;
 mod incremental;
 mod lcm_edge;
 mod lcm_node;
@@ -98,10 +98,11 @@ pub use analyses::{
 };
 pub use bcm::busy_plan;
 pub use budget::{CancelReason, Cancelled, OptimizeBudget};
-pub use incremental::{
-    optimize_incremental_checked_with, IncrementalOutcome, IncrementalState, IncrementalStats,
-    PhaseNanos,
+pub use checked::{
+    optimize_checked, optimize_incremental_checked_with, optimize_speculative_checked_with,
+    Options, Session,
 };
+pub use incremental::{IncrementalOutcome, IncrementalState, IncrementalStats, PhaseNanos};
 pub use lcm_edge::{later_problem, lazy_edge_plan, lazy_edge_plan_with, LazyEdgeResult};
 pub use lcm_node::{lazy_node_plan, LazyNodeResult};
 pub use morel_renvoise::{morel_renvoise_plan, MorelRenvoiseResult};
@@ -274,87 +275,9 @@ pub fn optimize(f: &Function, algorithm: PreAlgorithm) -> Result<Optimized, Pipe
     )
 }
 
-/// The checked pass boundary: runs `algorithm` on `f`, then
-/// [`validate::validate_optimized`] at `level`, under `budget`. The
-/// returned report carries the validator's timings for `--emit
-/// stats`-style reporting.
-///
-/// * `weights` is the edge profile [`PreAlgorithm::Speculative`] plans
-///   against (`None` means unit weights); every other algorithm ignores
-///   it. The validator applies its speculation-aware admissibility rule to
-///   speculative plans (unsafe points must carry side-effect-free
-///   expressions) and skips the per-input eval-count non-regression, which
-///   speculation legitimately trades away on cold paths.
-/// * `strategy` and `scratch` drive the fused pipeline
-///   ([`PreAlgorithm::LazyEdge`] and [`PreAlgorithm::Speculative`]); the
-///   other algorithms solve their analyses standalone and ignore both
-///   (every strategy reaches the same fixpoints, so the choice never
-///   changes a plan — see `tests/solver_equivalence.rs`).
-/// * `budget`'s deadline and cancel flag are checked before solving, after
-///   solving, and after validation; its fuel ceiling is checked against
-///   the fused pipeline's node-visit count the moment the solves finish
-///   (the standalone-solve algorithms report no [`PipelineStats`] and are
-///   governed by the deadline alone). [`OptimizeBudget::unlimited`] never
-///   cancels.
-///
-/// # Errors
-///
-/// [`PipelineError::Solver`] if an analysis diverges,
-/// [`PipelineError::Validation`] if the result violates a paper invariant,
-/// [`PipelineError::Cancelled`] when the budget is exceeded.
-#[allow(clippy::too_many_arguments)]
-pub fn optimize_checked(
-    f: &Function,
-    algorithm: PreAlgorithm,
-    weights: Option<&EdgeWeights>,
-    level: ValidationLevel,
-    seed: u64,
-    strategy: SolveStrategy,
-    scratch: &mut SolverScratch,
-    budget: &OptimizeBudget,
-) -> Result<(Optimized, ValidationReport), PipelineError> {
-    budget.check("solve")?;
-    let opt = run_pre(f, algorithm, weights, strategy, scratch)?;
-    let visits = opt
-        .pipeline_stats
-        .as_ref()
-        .map_or(0, |s| s.total().node_visits as u64);
-    budget.check_fuel("validate", visits)?;
-    let report = validate::validate_optimized(f, &opt, level, seed)?;
-    budget.check("finish")?;
-    Ok((opt, report))
-}
-
-/// [`optimize_checked`] for [`PreAlgorithm::Speculative`] under the edge
-/// weights `w`, with no budget.
-///
-/// # Errors
-///
-/// [`PipelineError::Solver`] if an analysis diverges,
-/// [`PipelineError::Validation`] if the result violates an invariant.
-pub fn optimize_speculative_checked_with(
-    f: &Function,
-    w: &EdgeWeights,
-    level: ValidationLevel,
-    seed: u64,
-    strategy: SolveStrategy,
-    scratch: &mut SolverScratch,
-) -> Result<(Optimized, ValidationReport), PipelineError> {
-    optimize_checked(
-        f,
-        PreAlgorithm::Speculative,
-        Some(w),
-        level,
-        seed,
-        strategy,
-        scratch,
-        &OptimizeBudget::unlimited(),
-    )
-}
-
-/// Plans and rewrites: the one body behind [`optimize`] and
-/// [`optimize_checked`].
-fn run_pre(
+/// Plans and rewrites: the one body behind [`optimize`] and the one-shot
+/// solve of [`optimize_checked`].
+pub(crate) fn run_pre(
     f: &Function,
     algorithm: PreAlgorithm,
     weights: Option<&EdgeWeights>,

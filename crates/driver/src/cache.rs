@@ -221,23 +221,14 @@ pub fn fingerprint(f: &Function) -> (u128, String) {
 /// (which fall back to plain LCM) share entries with LCM batches.
 pub fn fingerprint_with_context(f: &Function, context: &str) -> (u128, String) {
     let text = contextual_text(canonical_text(f), context);
-    let mut h = Fnv1a128::default();
-    h.bytes(text.as_bytes());
-    (h.0, text)
+    (key_of(&text), text)
 }
 
-/// The key half of [`fingerprint_with_context`], hashed while printing:
-/// the same bytes go through the same FNV-1a, so the key is the same, but
-/// no text is built. For callers that need the key and never the text
-/// (the watch cycle's retained state).
-pub fn fingerprint_key(f: &Function, context: &str) -> u128 {
+/// The key [`fingerprint_with_context`] gives the contextual canonical
+/// `text` it returns — for a caller that printed the text itself.
+pub(crate) fn key_of(text: &str) -> u128 {
     let mut h = Fnv1a128::default();
-    f.write_named(CANONICAL_NAME, &mut h)
-        .expect("the hashing sink never fails");
-    if !context.is_empty() {
-        h.bytes(CONTEXT_SEPARATOR.as_bytes());
-        h.bytes(context.as_bytes());
-    }
+    h.bytes(text.as_bytes());
     h.0
 }
 
@@ -288,8 +279,7 @@ pub(crate) fn with_name(output_text: &str, name: &str) -> String {
     format!("fn {name} {{{rest}")
 }
 
-/// 128-bit FNV-1a, as a [`fmt::Write`] sink so a function can be hashed
-/// while it is printed. Hand-rolled (hermetic workspace: no hashing
+/// 128-bit FNV-1a. Hand-rolled (hermetic workspace: no hashing
 /// crates); the 128-bit width makes accidental collisions over a corpus
 /// astronomically unlikely, and the stored-text comparison in
 /// [`PlanCache::get`] removes even that case from the correctness argument.
@@ -308,13 +298,6 @@ impl Fnv1a128 {
             self.0 ^= u128::from(b);
             self.0 = self.0.wrapping_mul(PRIME);
         }
-    }
-}
-
-impl fmt::Write for Fnv1a128 {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        self.bytes(s.as_bytes());
-        Ok(())
     }
 }
 

@@ -5,12 +5,15 @@
 //!
 //! 1. **plan** ([`BatchEngine::plan`], sequential): the span memo, `verify`,
 //!    the one profile → weights → context resolution, and then one choice —
-//!    the retained state, for an incremental-eligible unbudgeted unit whose
-//!    name has one; otherwise the plan cache, when the surface has one;
-//!    otherwise a fresh or one-shot compute;
+//!    the retained state, for an unweighted unit of a retaining surface
+//!    whose name has one; otherwise the plan cache, when the surface has
+//!    one; otherwise a compute;
 //! 2. **work** ([`Work::run`]), which borrows no engine state: the unit
-//!    pipeline, or the re-validation of a cache hit. Watch runs it inline,
-//!    the daemon with the engine lock released, batch on the pool;
+//!    pipeline around the one checked PRE call
+//!    ([`lcm_core::optimize_checked`], which decides between a one-shot, a
+//!    fresh and a delta solve), or the re-validation of a cache hit. Watch
+//!    runs it inline, the daemon with the engine lock released, batch on
+//!    the pool;
 //! 3. **finish** ([`BatchEngine::finish`], sequential): the ledger,
 //!    retention, cache fill and quarantine.
 //!
@@ -22,25 +25,24 @@ use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
 
 use lcm_core::{
-    EdgeWeights, IncrementalStats, OptimizeBudget, PhaseNanos, PreAlgorithm, SpecStats,
+    EdgeWeights, IncrementalState, IncrementalStats, OptimizeBudget, PreAlgorithm, Session,
+    SpecStats,
 };
-use lcm_dataflow::SolverScratch;
 use lcm_ir::{verify, Function, Profile};
 
 use crate::{
-    cache, fingerprint_key, fingerprint_with_context, incremental_eligible, isolate, optimize_unit,
-    revalidate_entry, BatchEngine, BatchOptions, BatchUnit, CacheDisposition, CacheEntry,
-    FailureKind, IncrementalMode, IncrementalUnit, PrevSolve, Retained, SpanMemo, UnitError,
-    UnitRun, UnitSuccess,
+    cache, fingerprint_with_context, isolate, optimize_unit, revalidate_entry, BatchEngine,
+    BatchOptions, BatchUnit, CacheDisposition, CacheEntry, FailureKind, IncrementalMode,
+    IncrementalUnit, Retained, SpanMemo, UnitError, UnitRun, UnitSuccess,
 };
 
 /// What a surface lets the plan step use for one unit.
 #[derive(Clone, Copy)]
-pub(crate) struct Surface<'a> {
-    /// The engine's options tag when retained state and the span memo may
-    /// answer the unit (watch, and the daemon's unbudgeted units); `None`
-    /// for batch and for budgeted units.
-    pub(crate) retained: Option<&'a str>,
+pub(crate) struct Surface {
+    /// Whether retained state and the span memo may answer the unit
+    /// (watch, and the daemon's unbudgeted units; not batch, not budgeted
+    /// units).
+    pub(crate) retain: bool,
     /// Whether the plan cache is consulted and filled.
     pub(crate) cache: bool,
 }
@@ -71,20 +73,9 @@ pub(crate) enum Plan {
     Done(Finished),
     /// A batch duplicate of the unit at `leader`, which has the work.
     Replay { leader: usize },
-    /// Work to run, then finish.
-    Work(Work),
-}
-
-/// The PRE step a computed unit runs.
-pub(crate) enum PreStep {
-    /// The checked, budgeted one-shot solve of the configured placement;
-    /// nothing is retained.
-    OneShot,
-    /// The incremental solve of an [`incremental_eligible`] unit: a delta
-    /// against the retained state, or a fresh solve, whose fixpoints are
-    /// retained. Validated at the fast tier at least, so a stale or
-    /// corrupted state costs a typed unit failure, never wrong code.
-    Incremental(Option<Box<PrevSolve>>),
+    /// Work to run, with the unit's retained state to lend its session
+    /// (always `None` in a batch), then finish.
+    Work(Work, Option<Box<IncrementalState>>),
 }
 
 /// One unit's work: everything it needs, owned, so it can run with the
@@ -95,9 +86,12 @@ pub(crate) struct Work {
     /// The unit's fingerprint, when the plan step took one.
     key: Option<u128>,
     /// The cache hit to re-validate, snapshotted at planning time; the
-    /// step runs when there is none, or when a thin hit fails.
+    /// pipeline runs when there is none, or when a thin hit fails.
     hit: Option<Box<CacheEntry>>,
-    step: PreStep,
+    /// What the plan step lends the call: a session that retains nothing
+    /// (`OneShot`), or one that retains state, starting from none (`Fresh`)
+    /// or from the unit's retained state (`Delta`).
+    lent: IncrementalMode,
 }
 
 /// What a work item produced.
@@ -121,11 +115,10 @@ pub(crate) struct Finished {
     pub(crate) computed: Option<SpecStats>,
     mode: IncrementalMode,
     stats: IncrementalStats,
-    phases: PhaseNanos,
 }
 
 impl Finished {
-    /// A unit with no delta accounting and no phase split.
+    /// A unit with no delta accounting.
     fn plain(
         cache: CacheDisposition,
         outcome: Result<UnitSuccess, UnitError>,
@@ -137,7 +130,6 @@ impl Finished {
             computed: None,
             mode,
             stats: IncrementalStats::default(),
-            phases: PhaseNanos::default(),
         }
     }
 
@@ -167,7 +159,6 @@ impl Finished {
             mode: self.mode,
             stats: self.stats,
             blocks: f.num_blocks(),
-            phases: self.phases,
         }
     }
 }
@@ -204,14 +195,16 @@ fn resolve(
 }
 
 impl Work {
-    /// Runs the work under `budget`. Panics are contained: a panic becomes
-    /// a [`FailureKind::Panic`] unit error.
+    /// Runs the work under `budget` on `session`, lent `prev` when the unit
+    /// retains state; the session is one-shot again afterwards, whatever
+    /// happened. A panic becomes a [`FailureKind::Panic`] unit error.
     pub(crate) fn run(
         &self,
         f: &Function,
         opts: &BatchOptions,
         budget: &OptimizeBudget,
-        scratch: &mut SolverScratch,
+        session: &mut Session,
+        prev: Option<Box<IncrementalState>>,
     ) -> WorkOut {
         if let Some(entry) = &self.hit {
             let checked = isolate(AssertUnwindSafe(|| revalidate_entry(entry, opts.seed)));
@@ -219,10 +212,15 @@ impl Work {
                 return WorkOut::Served(checked);
             }
         }
+        if self.lent != IncrementalMode::OneShot {
+            session.retain(prev.map(|state| *state));
+        }
         let (weights, context) = (self.weights.as_ref(), &self.context);
-        WorkOut::Computed(isolate(AssertUnwindSafe(|| {
-            optimize_unit(f, opts, weights, context, &self.step, budget, scratch).map(Box::new)
-        })))
+        let computed = isolate(AssertUnwindSafe(|| {
+            optimize_unit(f, opts, weights, context, budget, session)
+        }));
+        let retained = session.release();
+        WorkOut::Computed(computed.map(|run| Box::new(UnitRun { retained, ..run })))
     }
 }
 
@@ -233,12 +231,12 @@ impl BatchEngine {
     pub(crate) fn plan(
         &mut self,
         unit: &UnitIn<'_>,
-        surface: Surface<'_>,
+        surface: Surface,
         dedupe: Option<(usize, &mut HashMap<u128, usize>)>,
     ) -> Plan {
         let f = unit.function;
-        if let (Some(tag), Some(span)) = (surface.retained, unit.span.as_deref()) {
-            if let Some(done) = self.replay_span(f, span, unit.profile, tag) {
+        if let (true, Some(span)) = (surface.retain, unit.span.as_deref()) {
+            if let Some(done) = self.replay_span(f, span, unit.profile) {
                 return Plan::Done(done);
             }
         }
@@ -251,15 +249,15 @@ impl BatchEngine {
             return Plan::Done(Finished::plain(CacheDisposition::Uncached, Err(e), mode));
         }
         let (weights, context) = resolve(self.opts.placement, f, unit.profile);
-        let incremental = surface.retained.is_some()
-            && incremental_eligible(self.opts.placement, weights.as_ref());
-        // Retained state first: a name with retained state is always
-        // answered by the incremental step. Taking it drops its span memo:
-        // a span lives only beside the state it was minted with.
-        let prev = incremental
+        // Retained state first: a name with it is always answered by the
+        // PRE call against it, except a weighted unit, solved one-shot, which
+        // leaves the state for the next unweighted revision. Taking the
+        // state drops its span memo: a span lives only beside its state.
+        let retain = surface.retain && weights.is_none();
+        let prev = retain
             .then(|| self.retained.remove(&f.name))
             .flatten()
-            .map(|r| Box::new(r.prev));
+            .map(|r| Box::new(r.state));
         let (mut key, mut hit) = (None, None);
         if prev.is_none() && surface.cache {
             let (k, text) = fingerprint_with_context(f, &context);
@@ -276,35 +274,34 @@ impl BatchEngine {
                 None => self.cache.note_miss(),
             }
             key = Some(k);
-        } else if incremental {
-            key = Some(fingerprint_key(f, &context));
         }
-        let step = if incremental {
-            PreStep::Incremental(prev)
-        } else {
-            PreStep::OneShot
+        let lent = match (retain, &prev) {
+            (false, _) => IncrementalMode::OneShot,
+            (true, None) => IncrementalMode::Fresh,
+            (true, Some(_)) => IncrementalMode::Delta,
         };
-        Plan::Work(Work {
+        let work = Work {
             weights,
             context,
             key,
             hit,
-            step,
-        })
+            lent,
+        };
+        Plan::Work(work, prev)
     }
 
     /// The span memo, before `verify` and the fingerprint: when `span`, the
     /// raw text of `f`'s `fn` section, is byte-identical to the section
-    /// whose state is retained for `f`'s name, under the same options
-    /// (`opts_tag`) and — under speculative placement — the same profile,
-    /// the retained output is replayed and counted as a zero-dirty edit
-    /// (DESIGN §13 says why that answer is the one a solve would give).
+    /// whose state is retained for `f`'s name and — under speculative
+    /// placement — the profile is the same, the retained output is
+    /// replayed and counted as a zero-dirty edit (DESIGN §13 says why that
+    /// answer is the one a solve would give). An engine's options are
+    /// fixed when it is built, so they cannot differ from the memo's.
     fn replay_span(
         &mut self,
         f: &Function,
         span: &str,
         profile: Option<&Profile>,
-        opts_tag: &str,
     ) -> Option<Finished> {
         let r = self.retained.get(&f.name)?;
         let memo = r.span.as_ref()?;
@@ -313,11 +310,11 @@ impl BatchEngine {
             PreAlgorithm::Speculative => memo.profile.as_ref() == profile,
             _ => false,
         };
-        if !same_profile || *memo.text != *span || r.prev.opts_tag != opts_tag {
+        if !same_profile || *memo.text != *span {
             return None;
         }
         let output = UnitSuccess {
-            output: cache::with_name(&r.prev.output_text, &f.name),
+            output: cache::with_name(&r.output_text, &f.name),
             ..UnitSuccess::default()
         };
         self.edit_classes.zero_dirty += 1;
@@ -329,19 +326,19 @@ impl BatchEngine {
         ))
     }
 
-    /// The plan step, the work inline, and the finish step, back to back —
-    /// for a surface that plans no replays.
+    /// The plan step, the work inline on `session`, and the finish step,
+    /// back to back — for a surface that plans no replays.
     pub(crate) fn cycle(
         &mut self,
         unit: UnitIn<'_>,
-        surface: Surface<'_>,
+        surface: Surface,
         budget: &OptimizeBudget,
-        scratch: &mut SolverScratch,
+        session: &mut Session,
     ) -> Finished {
         match self.plan(&unit, surface, None) {
             Plan::Done(done) => done,
-            Plan::Work(work) => {
-                let out = work.run(unit.function, &self.opts, budget, scratch);
+            Plan::Work(work, prev) => {
+                let out = work.run(unit.function, &self.opts, budget, session, prev);
                 self.finish(unit, work, out, surface)
             }
             Plan::Replay { .. } => unreachable!("only a batch plans replays"),
@@ -350,17 +347,17 @@ impl BatchEngine {
 
     /// The finish step: quarantines a thin hit that failed re-validation
     /// (removed, counted, and its recompute served: disk corruption costs
-    /// warmth, never correctness or availability); for an incremental
-    /// step, classifies the unit, counts it in the delta and edit-class
-    /// ledgers and the phase totals, and retains its fixpoints and output
-    /// memo — with the unit's span memo, if it came from module text — for
-    /// the next revision; and fills the plan cache.
+    /// warmth, never correctness or availability); for a unit whose call
+    /// retained state, classifies it, counts it in the delta and
+    /// edit-class ledgers and the phase totals, and retains its fixpoints
+    /// and output — with the unit's span memo, if it came from module
+    /// text — for the next revision; and fills the plan cache.
     pub(crate) fn finish(
         &mut self,
         unit: UnitIn<'_>,
         work: Work,
         out: WorkOut,
-        surface: Surface<'_>,
+        surface: Surface,
     ) -> Finished {
         let f = unit.function;
         let computed = match (out, work.hit) {
@@ -389,51 +386,55 @@ impl BatchEngine {
         } else {
             CacheDisposition::Uncached
         };
-        let (mode, prev) = match work.step {
-            PreStep::OneShot => (IncrementalMode::OneShot, None),
-            PreStep::Incremental(prev) => (IncrementalMode::Fresh, prev),
-        };
-        let mut run = match computed {
+        let run = match computed {
             Ok(run) => *run,
-            Err(e) => return Finished::plain(cache, Err(e), mode),
+            Err(e) => {
+                let mode = match work.lent {
+                    IncrementalMode::OneShot => IncrementalMode::OneShot,
+                    _ => IncrementalMode::Fresh,
+                };
+                return Finished::plain(cache, Err(e), mode);
+            }
         };
         let spec = run.entry.origin.as_ref().and_then(|o| o.opt.spec);
+        let mode = IncrementalMode::OneShot;
         let mut done = Finished {
             computed: Some(spec.unwrap_or_default()),
             ..Finished::plain(cache, Ok(UnitSuccess::of(&run.entry, &f.name)), mode)
         };
-        if let Some((state, stats)) = run.retained.take() {
-            done.mode = match (prev.is_some(), stats.full_fallback) {
-                (false, _) => IncrementalMode::Fresh,
-                (true, true) => IncrementalMode::Fallback,
-                (true, false) => IncrementalMode::Delta,
+        if let Some((state, stats)) = run.retained {
+            done.mode = match (work.lent, stats.full_fallback) {
+                (IncrementalMode::Delta, true) => IncrementalMode::Fallback,
+                (lent, _) => lent,
             };
             if done.mode == IncrementalMode::Delta {
                 self.incremental_hits += 1;
                 self.delta_blocks_resolved += stats.delta_blocks_resolved as u64;
             }
-            if prev.is_some() {
+            if work.lent == IncrementalMode::Delta {
                 self.edit_classes.note(&stats);
             }
             self.phases.solve_ns += run.phases.solve_ns;
             self.phases.tail_ns += run.phases.tail_ns;
-            (done.stats, done.phases) = (stats, run.phases);
-            let prev = PrevSolve {
-                key: work
-                    .key
-                    .expect("the plan step fingerprints incremental units"),
-                state,
-                output_text: run.entry.output_text.clone(),
-                opts_tag: surface.retained.unwrap_or_default().to_string(),
-            };
+            done.stats = stats;
             let placement = self.opts.placement;
             let span = unit
                 .span
                 .map(|text| SpanMemo::new(placement, text.into_owned().into(), unit.profile));
-            self.retained
-                .insert(f.name.clone(), Retained { prev, span });
+            let retained = Retained {
+                state,
+                output_text: run.entry.output_text.clone(),
+                span,
+            };
+            self.retained.insert(f.name.clone(), retained);
         }
-        if let (true, Some(key)) = (surface.cache, work.key) {
+        // A unit answered against retained state skipped the cache lookup,
+        // so it has no key yet: hash the canonical input its pipeline
+        // printed.
+        if surface.cache {
+            let key = work
+                .key
+                .unwrap_or_else(|| cache::key_of(&run.entry.canonical_input));
             self.cache.insert(key, run.entry);
         }
         done

@@ -54,8 +54,8 @@ mod load;
 mod persist;
 
 pub use cache::{
-    canonical_text, fingerprint, fingerprint_key, fingerprint_with_context, CacheEntry, CacheStats,
-    ComputedOrigin, PlanCache, CANONICAL_NAME,
+    canonical_text, fingerprint, fingerprint_with_context, CacheEntry, CacheStats, ComputedOrigin,
+    PlanCache, CANONICAL_NAME,
 };
 pub use load::{load_units, text_from_bytes, LoadError};
 pub use persist::{
@@ -72,14 +72,13 @@ use std::time::Instant;
 use lcm_core::transform::TransformStats;
 use lcm_core::validate::{sample_inputs, validate_optimized, ValidationLevel};
 use lcm_core::{
-    optimize_checked, optimize_incremental_checked_with, passes, EdgeWeights, IncrementalState,
-    IncrementalStats, OptimizeBudget, PhaseNanos, PipelineError, PipelineStats, PreAlgorithm,
-    SpecStats,
+    optimize_checked, passes, EdgeWeights, IncrementalState, IncrementalStats, OptimizeBudget,
+    PhaseNanos, PipelineError, PipelineStats, PreAlgorithm, Session, SpecStats,
 };
-use lcm_dataflow::{SolveStrategy, SolverScratch};
+use lcm_dataflow::SolveStrategy;
 use lcm_ir::{parse_function, verify, Function, Module, Profile};
 
-use cycle::{Finished, Plan, PreStep, Surface, UnitIn};
+use cycle::{Finished, Plan, Surface, UnitIn};
 
 /// How a batch run is configured.
 #[derive(Clone, Copy, Debug)]
@@ -310,40 +309,29 @@ struct PersistState {
     status: LoadStatus,
 }
 
-/// The retained fixpoint for one function name — what the incremental hot
-/// path ([`BatchEngine::run_module_incremental`] and the serve daemon)
-/// delta-solves against on the next edit of the same function, with the
-/// output it produced.
+/// One function name's retained solve as the benchmark's recomposed watch
+/// cycle records it. No engine path builds or reads one; it goes when the
+/// benchmark moves onto the checked call (ROADMAP item 2).
 #[derive(Debug)]
 pub struct PrevSolve {
     /// Fingerprint (with placement context) of the pre-LCSE input the
-    /// state was computed from. No engine path reads it: a retained output
-    /// is replayed only through the span memo, which keys on section
-    /// bytes. It stays because the benchmark builds `PrevSolve` field by
-    /// field; deleting it waits for the benchmark's move onto the real
-    /// entry points (ROADMAP item 1).
+    /// state was computed from.
     pub key: u128,
     /// The retained universe, local predicates, and AVAIL/ANTIC/LATER
     /// fixpoints over the post-LCSE canonical function.
     pub state: IncrementalState,
-    /// The canonical printed output the state produced — the zero-dirty
-    /// memo. The span memo retained beside it replays this text verbatim
-    /// for a byte-identical section under the same `opts_tag`, skipping
-    /// verification, plan, rewrite, validation, and printing entirely.
+    /// The canonical printed output the state produced.
     pub output_text: String,
-    /// Fingerprint of every output-affecting engine option
-    /// ([`options_tag`]) at the time the memo was recorded. Any placement,
-    /// validation, seed, or solver change invalidates the memo — the next
-    /// revision recomputes even on identical input.
+    /// The [`options_tag`] the output was recorded under.
     pub opts_tag: String,
 }
 
-/// The one memo level, retained beside the [`PrevSolve`] it was minted
-/// with: the raw `fn` section text ([`Module::source`]) the retained state
-/// answered, and — under [`PreAlgorithm::Speculative`] — the profile that
-/// came with it. A revision whose section is byte-identical, under the
-/// same options and profile, replays the retained output before `verify`
-/// or a fingerprint runs. Any other revision is verified and solved.
+/// The one memo level, retained beside the state it was minted with: the
+/// raw `fn` section text ([`Module::source`]) the retained state answered,
+/// and — under [`PreAlgorithm::Speculative`] — the profile that came with
+/// it. A revision whose section is byte-identical, under the same profile,
+/// replays the retained output before `verify` or a fingerprint runs. Any
+/// other revision is verified and solved.
 #[derive(Debug)]
 struct SpanMemo {
     text: Box<str>,
@@ -363,18 +351,19 @@ impl SpanMemo {
     }
 }
 
-/// One function name's retained state: the fixpoints and output memo, and
-/// the span memo when they were minted from module text.
+/// One function name's retained solve: the fixpoints the next edit
+/// delta-solves against, the canonical output they produced, and the span
+/// memo that replays it, when they were minted from module text.
 #[derive(Debug)]
 struct Retained {
-    prev: PrevSolve,
+    state: IncrementalState,
+    output_text: String,
     span: Option<SpanMemo>,
 }
 
-/// The output-affecting option fingerprint a [`PrevSolve`] memo is keyed
-/// under. Deliberately includes the validation tier and seed even though
-/// they cannot change the output text: a flag change must force a real
-/// run, never a memo replay recorded under different settings.
+/// The output-affecting option fingerprint the benchmark keys its
+/// recorded [`PrevSolve`] under. The engine compares no tag: its options
+/// are fixed when it is built.
 pub fn options_tag(opts: &BatchOptions) -> String {
     format!(
         "{}|{:?}|{:#x}|{:?}",
@@ -466,16 +455,17 @@ pub enum IncrementalMode {
     /// edits, forcing the full-solve fallback (the state was refreshed
     /// either way).
     Fallback,
-    /// The revision's `fn` section bytes are identical, under the same
-    /// options (and, under speculative placement, the same profile), to the
-    /// section the retained state answered: the span memo replayed its
+    /// The revision's `fn` section bytes are identical (and, under
+    /// speculative placement, so is the profile) to the section the
+    /// retained state answered: the span memo replayed its
     /// output with no verification, solve, rewrite, validation, or printing
     /// work at all. A parse-identical edit, or a function built without
     /// section text, is solved instead — a [`IncrementalMode::Delta`] with
     /// zero dirty blocks.
     ZeroDirty,
-    /// The placement is not [`incremental_eligible`]; the unit ran the
-    /// ordinary one-shot pipeline with no state retention.
+    /// The unit ran a one-shot solve with no state retention: its
+    /// placement is not plain edge LCM, or it is a speculative unit with
+    /// edge weights.
     OneShot,
 }
 
@@ -510,11 +500,6 @@ pub struct IncrementalUnit {
     /// `stats.delta_blocks_resolved` (a from-scratch solve pays one row
     /// per block in each of the three analyses, i.e. `3 * blocks`).
     pub blocks: usize,
-    /// Wall-clock split of this unit's work into the solve phase (LCSE +
-    /// fixpoints) and the tail (plan, rewrite, cleanup passes,
-    /// validation, print). Both zero for a memo replay — that is the
-    /// point.
-    pub phases: PhaseNanos,
 }
 
 /// The batch engine: a [`BatchOptions`] plus a [`PlanCache`] that persists
@@ -608,13 +593,14 @@ impl BatchEngine {
         self.retained.len()
     }
 
-    /// Mutable access to `name`'s retained state and the section text its
-    /// span memo matches — for fault injection and tests; the normal
-    /// driver path never needs it. `None` unless the entry has a span memo.
-    pub fn span_memo_mut(&mut self, name: &str) -> Option<(&mut PrevSolve, &mut Box<str>)> {
+    /// Mutable access to the canonical output `name`'s span memo replays
+    /// and the section text it matches — for fault injection and tests;
+    /// the normal driver path never needs it. `None` unless the entry has
+    /// a span memo.
+    pub fn span_memo_mut(&mut self, name: &str) -> Option<(&mut String, &mut Box<str>)> {
         let r = self.retained.get_mut(name)?;
         let span = r.span.as_mut()?;
-        Some((&mut r.prev, &mut span.text))
+        Some((&mut r.output_text, &mut span.text))
     }
 
     /// This process's incremental counters so far:
@@ -683,11 +669,11 @@ impl BatchEngine {
     /// section text ([`Module::source`]) is byte-identical to the one its
     /// retained state answered replays that output at once, with no
     /// verification and no fingerprint — the one memo level. Every other
-    /// unit is verified and solved against the retained fixpoints
-    /// ([`PrevSolve`]) — a delta, a fresh solve on first sight, or the full
-    /// fallback — then the ledger and the retained state are updated.
-    /// Functions whose placement is not [`incremental_eligible`] run the
-    /// one-shot pipeline instead. The plan cache is neither read nor
+    /// unit is verified and its PRE call solved against the retained
+    /// fixpoints — a delta, a fresh solve on first sight, or the full
+    /// fallback — then the ledger and the retained state are updated. The
+    /// call solves other placements, and speculative units with edge
+    /// weights, one-shot instead. The plan cache is neither read nor
     /// filled.
     ///
     /// Per-unit output text is byte-identical to [`BatchEngine::run_module`]
@@ -697,10 +683,9 @@ impl BatchEngine {
     /// engine while it solves, and keeps the same ledger (pinned by
     /// `tests/serve_determinism.rs`).
     pub fn run_module_incremental(&mut self, m: &Module) -> Vec<IncrementalUnit> {
-        let mut scratch = SolverScratch::new();
-        let opts_tag = options_tag(&self.opts);
+        let mut session = Session::new();
         let surface = Surface {
-            retained: Some(&opts_tag),
+            retain: true,
             cache: false,
         };
         let budget = OptimizeBudget::unlimited();
@@ -712,7 +697,7 @@ impl BatchEngine {
                     span: m.source(i).map(Cow::Borrowed),
                     profile: m.profile(&f.name),
                 };
-                self.cycle(unit, surface, &budget, &mut scratch)
+                self.cycle(unit, surface, &budget, &mut session)
                     .into_incremental(f)
             })
             .collect()
@@ -725,7 +710,7 @@ impl BatchEngine {
     pub fn run(&mut self, units: Vec<BatchUnit>) -> BatchResult {
         let threads = resolve_jobs(self.opts.jobs);
         let surface = Surface {
-            retained: None,
+            retain: false,
             cache: self.opts.use_cache,
         };
 
@@ -739,18 +724,16 @@ impl BatchEngine {
             .collect();
 
         // Phase 2 — the parallel part: the work items, a pipeline run or a
-        // cache-hit re-validation per leader. One SolverScratch per worker,
-        // reused across every function that worker computes: O(threads)
-        // solver arenas per batch instead of O(functions × analyses ×
-        // blocks) transient allocations.
+        // cache-hit re-validation per leader. One one-shot Session per
+        // worker, its solver scratch reused across every function that
+        // worker computes: O(threads) solver arenas per batch instead of
+        // O(functions × analyses × blocks) transient allocations.
         let (opts, budget) = (self.opts, OptimizeBudget::unlimited());
-        let outs =
-            pool::run_indexed_with(threads, plans.len(), SolverScratch::new, |scratch, i| {
-                match &plans[i] {
-                    Plan::Work(w) => Some(w.run(&units[i].function, &opts, &budget, scratch)),
-                    _ => None,
-                }
-            });
+        let work = |session: &mut Session, i: usize| match &plans[i] {
+            Plan::Work(w, _) => Some(w.run(&units[i].function, &opts, &budget, session, None)),
+            _ => None,
+        };
+        let outs = pool::run_indexed_with(threads, plans.len(), Session::new, work);
 
         // Phase 3 — sequential assembly in input order. Cache insertions
         // happen here, in input order, so the eviction sequence is
@@ -758,7 +741,7 @@ impl BatchEngine {
         let mut finished: Vec<Finished> = Vec::with_capacity(units.len());
         for ((u, plan), out) in units.iter().zip(plans).zip(outs) {
             let done = match plan {
-                Plan::Work(w) => {
+                Plan::Work(w, _) => {
                     let out = out.expect("every work item runs");
                     self.finish(UnitIn::from(u), w, out, surface)
                 }
@@ -846,35 +829,20 @@ fn isolate<T>(
     }
 }
 
-/// Whether a unit may take the incremental hot path: the effective
-/// placement must be the plain edge-formulation LCM pipeline — the one
-/// [`IncrementalState`] retains fixpoints for. That is [`PreAlgorithm::LazyEdge`]
-/// itself, or [`PreAlgorithm::Speculative`] with no resolved weights
-/// (which runs LazyEdge anyway and shares its cache entries).
-pub fn incremental_eligible(placement: PreAlgorithm, weights: Option<&EdgeWeights>) -> bool {
-    matches!(
-        (placement, weights),
-        (PreAlgorithm::LazyEdge, _) | (PreAlgorithm::Speculative, None)
-    )
-}
-
 /// What [`optimize_unit`] produced.
 pub(crate) struct UnitRun {
     /// The cache entry (canonical texts, statistics, plan for re-validation).
     entry: CacheEntry,
-    /// The fixpoints to retain and what the delta path did
-    /// ([`PreStep::Incremental`] only; the stats are all-default when
-    /// there was no retained state to be incremental against).
+    /// The fixpoints to retain and what the delta path did, when the call
+    /// retained state (filled in by the work step from its session).
     retained: Option<(IncrementalState, IncrementalStats)>,
-    /// Wall-clock split into the solve phase (cloning, LCSE, fixpoints)
-    /// and the tail (plan, rewrite, validation, cleanup, print).
+    /// The call's solve phase, and the tail: everything else of the unit.
     phases: PhaseNanos,
 }
 
 /// The per-function pipeline, mirroring `lcmopt`'s default pass order:
-/// LCSE → checked PRE (the configured placement) → [`passes::cleanup`] →
-/// output verification. Only the PRE step varies, by `step`; `budget`
-/// bounds the one-shot step.
+/// LCSE → the checked PRE call ([`optimize_checked`], on `session`) →
+/// [`passes::cleanup`] → output verification.
 ///
 /// `weights` and `context` must be the ones resolved for this unit: the
 /// recorded `canonical_input` embeds the context so the cache's collision
@@ -886,76 +854,28 @@ fn optimize_unit(
     opts: &BatchOptions,
     weights: Option<&EdgeWeights>,
     context: &str,
-    step: &PreStep,
     budget: &OptimizeBudget,
-    scratch: &mut SolverScratch,
+    session: &mut Session,
 ) -> Result<UnitRun, UnitError> {
-    let (level, seed, strategy) = (opts.validate, opts.seed, opts.strategy);
     let t_start = Instant::now();
-    let elapsed = || t_start.elapsed().as_nanos() as u64;
     let mut g = f.clone();
     g.name = CANONICAL_NAME.to_string();
     let canonical_input = cache::contextual_text(g.to_string(), context);
     passes::lcse(&mut g);
-    let pipeline_err = |e: PipelineError| UnitError {
-        kind: match e {
-            PipelineError::Cancelled(_) => FailureKind::Cancelled,
-            _ => FailureKind::Pipeline,
-        },
-        message: e.to_string(),
+    let pre = lcm_core::Options {
+        placement: opts.placement,
+        validate: opts.validate,
+        seed: opts.seed,
+        solver: opts.strategy,
     };
-    let (opt, report, retained, mut phases) = match step {
-        PreStep::OneShot => {
-            // Profile-less speculative units run plain LCM (see
-            // `BatchOptions::placement`).
-            let alg = match (opts.placement, weights) {
-                (PreAlgorithm::Speculative, None) => PreAlgorithm::LazyEdge,
-                (alg, _) => alg,
-            };
-            let (opt, report) =
-                optimize_checked(&g, alg, weights, level, seed, strategy, scratch, budget)
-                    .map_err(pipeline_err)?;
-            let phases = PhaseNanos {
-                solve_ns: elapsed(),
-                tail_ns: 0,
-            };
-            (opt, report, None, phases)
-        }
-        PreStep::Incremental(Some(prev)) => {
-            let out =
-                optimize_incremental_checked_with(&prev.state, &g, level, seed, strategy, scratch)
-                    .map_err(pipeline_err)?;
-            let mut phases = out.phases;
-            // Charge cloning + LCSE to the solve phase so the two phases
-            // still sum to this function's whole wall-clock.
-            phases.solve_ns = elapsed().saturating_sub(phases.tail_ns);
-            (
-                out.optimized,
-                out.report,
-                Some((out.state, out.stats)),
-                phases,
-            )
-        }
-        PreStep::Incremental(None) => {
-            let (opt, state) =
-                IncrementalState::fresh_with(&g, strategy, scratch).map_err(pipeline_err)?;
-            let solve_ns = elapsed();
-            let effective = if level == ValidationLevel::Off {
-                ValidationLevel::Fast
-            } else {
-                level
-            };
-            let report = validate_optimized(&g, &opt, effective, seed)
-                .map_err(|e| pipeline_err(e.into()))?;
-            let phases = PhaseNanos {
-                solve_ns,
-                tail_ns: elapsed().saturating_sub(solve_ns),
-            };
-            let retained = Some((state, IncrementalStats::default()));
-            (opt, report, retained, phases)
-        }
-    };
-    let t_tail = Instant::now();
+    let (opt, report) =
+        optimize_checked(&g, weights, &pre, budget, session).map_err(|e| UnitError {
+            kind: match e {
+                PipelineError::Cancelled(_) => FailureKind::Cancelled,
+                _ => FailureKind::Pipeline,
+            },
+            message: e.to_string(),
+        })?;
     let mut out = opt.function.clone();
     passes::cleanup(&mut out);
     verify(&out).map_err(|e| UnitError {
@@ -972,8 +892,8 @@ fn optimize_unit(
     pipeline.antic.allocations = 0;
     pipeline.later.allocations = 0;
     let output_text = out.to_string();
-    // The driver's cleanup passes and printing are tail work too.
-    phases.tail_ns += t_tail.elapsed().as_nanos() as u64;
+    let mut phases = session.phases();
+    phases.tail_ns = (t_start.elapsed().as_nanos() as u64).saturating_sub(phases.solve_ns);
     let entry = CacheEntry {
         canonical_input,
         pipeline,
@@ -985,7 +905,7 @@ fn optimize_unit(
     };
     Ok(UnitRun {
         entry,
-        retained,
+        retained: None,
         phases,
     })
 }

@@ -1,7 +1,7 @@
 //! `lcmopt serve` — the long-running optimization daemon.
 //!
 //! A [`Daemon`] owns a pool of persistent worker threads, each keeping one
-//! warm [`SolverScratch`] arena across requests (the whole point of
+//! [`Session`] — a warm solver scratch arena — across requests (the whole point of
 //! serving: the 2-allocation same-shape solve floor only pays off if the
 //! process outlives a CLI invocation), a shared [`BatchEngine`]'s plan
 //! cache — optionally backed by an `lcm-cache-v1` file (see
@@ -56,8 +56,7 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use lcm_core::OptimizeBudget;
-use lcm_dataflow::SolverScratch;
+use lcm_core::{OptimizeBudget, Session};
 use lcm_ir::{Function, Profile};
 
 use crate::cycle::{Plan, Surface, UnitIn};
@@ -65,9 +64,7 @@ use crate::protocol::{
     self, decode_request, read_frame, write_response, FrameError, Request, Response, ERR_BAD_FRAME,
     ERR_DRAINING, ERR_PARSE, ERR_TOO_LARGE,
 };
-use crate::{
-    options_tag, resolve_jobs, BatchEngine, BatchOptions, FailureKind, LoadStatus, UnitError,
-};
+use crate::{resolve_jobs, BatchEngine, BatchOptions, FailureKind, LoadStatus, UnitError};
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -289,43 +286,53 @@ impl Daemon {
 
     /// Binds `path` and serves connections (one thread each) until a
     /// client sends `SHUTDOWN`, then drains, flushes, and removes the
-    /// socket file.
+    /// socket file. The accept loop blocks; the connection that receives
+    /// `SHUTDOWN` wakes it by connecting to `path` once more.
     ///
     /// # Errors
     ///
     /// Binding errors, and cache-flush I/O errors from the final drain.
     #[cfg(unix)]
     pub fn serve_unix(self, path: &Path) -> io::Result<()> {
-        use std::os::unix::net::UnixListener;
+        use std::os::unix::net::{UnixListener, UnixStream};
 
         // A dead daemon's socket file would make rebinding fail forever.
         if path.exists() {
             std::fs::remove_file(path)?;
         }
         let listener = UnixListener::bind(path)?;
-        listener.set_nonblocking(true)?;
         let mut conns: Vec<JoinHandle<()>> = Vec::new();
-        while !self.core.draining.load(Ordering::Relaxed) {
-            match listener.accept() {
-                Ok((stream, _addr)) => {
-                    let core = Arc::clone(&self.core);
-                    conns.push(std::thread::spawn(move || {
-                        let mut reader = match stream.try_clone() {
-                            Ok(r) => r,
-                            Err(_) => return,
-                        };
-                        let mut writer = stream;
-                        serve_connection(&core, &mut reader, &mut writer);
-                    }));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
+        loop {
+            let stream = match listener.accept() {
+                Ok((stream, _addr)) => stream,
                 Err(e) => {
                     eprintln!("lcmopt serve: accept failed: {e}");
                     std::thread::sleep(Duration::from_millis(10));
+                    continue;
                 }
+            };
+            // A `SHUTDOWN` connection stores the flag (Release) before it
+            // connects to wake us, and `accept` returns that connection only
+            // after the connect, so this load (Acquire) sees the flag.
+            if self.core.draining.load(Ordering::Acquire) {
+                break;
             }
+            let core = Arc::clone(&self.core);
+            let wake = path.to_path_buf();
+            conns.push(std::thread::spawn(move || {
+                let Ok(mut reader) = stream.try_clone() else {
+                    return;
+                };
+                let mut writer = stream;
+                let end = serve_connection(&core, &mut reader, &mut writer);
+                if end == ConnectionEnd::Shutdown {
+                    // Only a connection wakes `accept`: if the socket file is
+                    // gone, the daemon cannot stop by itself.
+                    if let Err(e) = UnixStream::connect(wake) {
+                        eprintln!("lcmopt serve: cannot wake the accept loop: {e}");
+                    }
+                }
+            }));
             conns.retain(|h| !h.is_finished());
         }
         for h in conns {
@@ -357,9 +364,9 @@ impl Daemon {
     }
 }
 
-/// The worker loop: one warm scratch arena, jobs until stop.
+/// The worker loop: one warm session, jobs until stop.
 fn worker_loop(core: &Arc<Core>) {
-    let mut scratch = SolverScratch::new();
+    let mut session = Session::new();
     while let Some(job) = core.next_job() {
         // The unit pipeline has its own catch_unwind isolation; this outer
         // backstop only exists so a panic in the *loop* machinery can
@@ -367,7 +374,7 @@ fn worker_loop(core: &Arc<Core>) {
         let index = job.index;
         let name = job.function.name.clone();
         let tx = job.tx.clone();
-        let outcome = catch_unwind(AssertUnwindSafe(|| process_job(core, &mut scratch, job)));
+        let outcome = catch_unwind(AssertUnwindSafe(|| process_job(core, &mut session, job)));
         let response = outcome.unwrap_or_else(|_| {
             core.panics.fetch_add(1, Ordering::Relaxed);
             unit_err_response(
@@ -388,7 +395,7 @@ fn worker_loop(core: &Arc<Core>) {
 /// Optimizes one unit: the cancel check, then the engine's unit cycle —
 /// its plan and finish steps under the engine lock, its work with the lock
 /// released.
-fn process_job(core: &Arc<Core>, scratch: &mut SolverScratch, job: UnitJob) -> Response {
+fn process_job(core: &Arc<Core>, session: &mut Session, job: UnitJob) -> Response {
     let name = &job.function.name;
     if job.cancel.load(Ordering::Relaxed) {
         let e = UnitError {
@@ -405,12 +412,10 @@ fn process_job(core: &Arc<Core>, scratch: &mut SolverScratch, job: UnitJob) -> R
     if job.fuel > 0 {
         budget = budget.with_fuel(job.fuel);
     }
-    // Retained state serves only unbudgeted units: a budgeted one keeps the
-    // budget-enforcing one-shot pipeline.
-    let opts_tag = options_tag(&opts);
-    let unbudgeted = job.deadline.is_none() && job.fuel == 0;
+    // Retained state serves only unbudgeted units: a budgeted one runs a
+    // one-shot solve.
     let surface = Surface {
-        retained: unbudgeted.then_some(opts_tag.as_str()),
+        retain: job.deadline.is_none() && job.fuel == 0,
         cache: opts.use_cache,
     };
     let unit = UnitIn {
@@ -425,8 +430,8 @@ fn process_job(core: &Arc<Core>, scratch: &mut SolverScratch, job: UnitJob) -> R
         .plan(&unit, surface, None);
     let done = match plan {
         Plan::Done(done) => done,
-        Plan::Work(work) => {
-            let out = work.run(&job.function, &opts, &budget, scratch);
+        Plan::Work(work, prev) => {
+            let out = work.run(&job.function, &opts, &budget, session, prev);
             let mut engine = core.engine.lock().expect("engine lock");
             engine.finish(unit, work, out, surface)
         }
@@ -509,7 +514,7 @@ fn serve_connection(core: &Arc<Core>, r: &mut impl Read, w: &mut impl Write) -> 
                 }
             }
             Request::Shutdown => {
-                core.draining.store(true, Ordering::Relaxed);
+                core.draining.store(true, Ordering::Release);
                 let _ = write_response(w, &Response::Bye);
                 return ConnectionEnd::Shutdown;
             }

@@ -524,13 +524,13 @@ pub fn optimize_with_dropped_store_kill(
 
 /// Scrambles the retained AVAIL/ANTIC/LATER fixpoints of an
 /// [`IncrementalState`] in place — modelling a daemon's per-function
-/// `PrevSolve` state rotting (or bleeding) between requests, the
-/// incremental twin of scratch poisoning. The scramble is seeded and
-/// always lands; shape invariants are preserved, so the poisoned state is
-/// *plausible*: the delta solver will happily reuse it, and only the
-/// unconditional fast-tier validation inside
-/// `optimize_incremental_checked_with` (or a loud solver divergence)
-/// stands between the garbage and the output. The
+/// retained state rotting (or bleeding) between requests, the incremental
+/// twin of scratch poisoning. The scramble is seeded and always lands;
+/// shape invariants are preserved, so the poisoned state is *plausible*:
+/// the delta solver will happily reuse it, and only the fast-tier
+/// validation floor of the checked call
+/// ([`lcm_core::optimize_checked`] with a retaining session — or a loud
+/// solver divergence) stands between the garbage and the output. The
 /// faults suite pins that dichotomy: every poisoned run is caught or
 /// bit-identical to fresh, never silently wrong.
 pub fn poison_prev_solve(state: &mut IncrementalState, seed: u64) {
@@ -543,8 +543,8 @@ pub fn poison_prev_solve(state: &mut IncrementalState, seed: u64) {
 /// minted for. Reached through
 /// [`BatchEngine::span_memo_mut`](lcm_driver::BatchEngine::span_memo_mut).
 /// The driver's defense is *keying*, not re-validation: the span memo
-/// replays only a byte-identical section under the same options, so an
-/// edited function never meets the garbage, and a rotted span matches no
+/// replays only a byte-identical section (under the same profile, for
+/// speculative placement), so an edited function never meets the garbage, and a rotted span matches no
 /// revision, which recomputes and re-memoizes the honest answer. The
 /// faults suite pins both halves.
 ///
@@ -555,11 +555,11 @@ pub fn poison_span_memo(
     seed: u64,
     rot_span: bool,
 ) -> bool {
-    let Some((prev, span)) = engine.span_memo_mut(name) else {
+    let Some((output_text, span)) = engine.span_memo_mut(name) else {
         return false;
     };
     let mut state = seed ^ 0x5EED_FA17_u64;
-    prev.output_text = format!("; poisoned memo {:016x}\n", splitmix64(&mut state));
+    *output_text = format!("; poisoned memo {:016x}\n", splitmix64(&mut state));
     if rot_span {
         let mut state = seed ^ 0x5A4E_0F5E_u64;
         *span = format!("{span}\n# rot {:016x}", splitmix64(&mut state)).into();

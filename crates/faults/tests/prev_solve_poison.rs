@@ -1,9 +1,9 @@
-//! PrevSolve-poisoning mutations: the daemon's incremental hot path
+//! Retained-state poisoning mutations: the daemon's incremental hot path
 //! retains AVAIL/ANTIC/LATER fixpoints per function and delta-solves the
 //! next revision against them, so the failure mode to fear is corrupted
 //! retained state flowing straight into a placement. These tests poison
 //! the state with [`lcm_faults::poison_prev_solve`] and pin the contract
-//! of `optimize_incremental_checked_with`'s unconditional fast-tier validation:
+//! of the checked call's fast-tier validation floor for a retaining session:
 //!
 //! 1. a pinned (subject, seed) pair where the poisoned fixpoints produce
 //!    an invalid placement and the validator **refuses** it;
@@ -18,28 +18,52 @@
 use lcm_cfggen::{corpus, mutate_function, seeded, GenOptions};
 use lcm_core::validate::{validate_optimized, ValidationLevel};
 use lcm_core::{
-    optimize_incremental_checked_with, IncrementalOutcome, IncrementalState, PipelineError,
+    optimize_checked, IncrementalOutcome, IncrementalState, OptimizeBudget, Options, PipelineError,
+    PreAlgorithm, Session,
 };
-use lcm_dataflow::{SolveStrategy, SolverScratch};
+use lcm_dataflow::SolveStrategy;
 use lcm_faults::poison_prev_solve;
 use lcm_ir::{parse_function, Function};
 
-/// A fresh solve that retains its fixpoints, on the default solver.
-fn fresh_state(f: &Function) -> IncrementalState {
-    let scratch = &mut SolverScratch::new();
-    IncrementalState::fresh_with(f, SolveStrategy::default(), scratch)
-        .unwrap()
-        .1
+/// The checked call's settings: plain edge LCM at the fast tier.
+fn lcm_fast(seed: u64) -> Options {
+    Options {
+        placement: PreAlgorithm::LazyEdge,
+        validate: ValidationLevel::Fast,
+        seed,
+        solver: SolveStrategy::default(),
+    }
 }
 
-/// A delta solve against `prev` at the fast validation tier.
+/// A fresh solve that retains its fixpoints: the checked call on a
+/// retaining session with no state yet.
+fn fresh_state(f: &Function) -> IncrementalState {
+    let mut session = Session::new();
+    session.retain(None);
+    let budget = OptimizeBudget::unlimited();
+    optimize_checked(f, None, &lcm_fast(0), &budget, &mut session).unwrap();
+    session.release().expect("a retaining call retains").0
+}
+
+/// A delta solve against `prev` at the fast validation tier: the checked
+/// call on a session that holds `prev`.
 fn delta_solve(
     prev: &IncrementalState,
     f: &Function,
     seed: u64,
 ) -> Result<IncrementalOutcome, PipelineError> {
-    let (level, strategy) = (ValidationLevel::Fast, SolveStrategy::default());
-    optimize_incremental_checked_with(prev, f, level, seed, strategy, &mut SolverScratch::new())
+    let mut session = Session::new();
+    session.retain(Some(prev.clone()));
+    let budget = OptimizeBudget::unlimited();
+    let (optimized, report) = optimize_checked(f, None, &lcm_fast(seed), &budget, &mut session)?;
+    let (state, stats) = session.release().expect("a retaining call retains");
+    Ok(IncrementalOutcome {
+        optimized,
+        report,
+        state,
+        stats,
+        phases: session.phases(),
+    })
 }
 
 /// `a + b` is computed on one arm only and `a` is redefined there, so most

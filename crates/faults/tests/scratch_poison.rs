@@ -1,5 +1,5 @@
 //! Scratch-isolation mutations: the batch driver hands every worker one
-//! reused [`SolverScratch`], so the failure mode to fear is state
+//! reused solver scratch arena (in its one-shot `Session`), so the failure mode to fear is state
 //! bleeding from one solve into the next. These tests poison the arena
 //! the way a broken `prepare()` would and pin down all three outcomes:
 //!
@@ -14,21 +14,28 @@
 use lcm_cfggen::{corpus, GenOptions};
 use lcm_core::validate::{validate_optimized, ValidationError, ValidationLevel};
 use lcm_core::{
-    optimize, optimize_checked, OptimizeBudget, Optimized, PipelineError, PreAlgorithm,
+    optimize, optimize_checked, OptimizeBudget, Optimized, Options, PipelineError, PreAlgorithm,
+    Session,
 };
-use lcm_dataflow::{SolveStrategy, SolverScratch};
+use lcm_dataflow::SolveStrategy;
 use lcm_faults::optimize_with_poisoned_scratch;
 use lcm_ir::{parse_function, Function};
 
-/// `alg` on a caller-owned scratch arena, unvalidated.
+/// `alg` through the checked call on a caller-owned (one-shot) session,
+/// so its scratch arena is reused, unvalidated.
 fn optimize_on(
     f: &Function,
     alg: PreAlgorithm,
     strategy: SolveStrategy,
-    scratch: &mut SolverScratch,
+    session: &mut Session,
 ) -> Result<Optimized, PipelineError> {
-    let (level, budget) = (ValidationLevel::Off, &OptimizeBudget::unlimited());
-    optimize_checked(f, alg, None, level, 0, strategy, scratch, budget).map(|(opt, _)| opt)
+    let opts = Options {
+        placement: alg,
+        validate: ValidationLevel::Off,
+        seed: 0,
+        solver: strategy,
+    };
+    optimize_checked(f, None, &opts, &OptimizeBudget::unlimited(), session).map(|(opt, _)| opt)
 }
 
 /// `a + b` is only computed on the loop path, `a * b` only on the exit
@@ -52,10 +59,10 @@ const LOOP: &str = "fn l {
 #[test]
 fn poisoned_scratch_placement_is_caught_by_fast_validation() {
     let f = parse_function(LOOP).unwrap();
-    let mut scratch = SolverScratch::new();
+    let mut session = Session::new();
     // Pinned seed: the scrambled LATER fixpoint claims a placement on the
     // entry edge that the analyses never justified.
-    let opt = optimize_with_poisoned_scratch(&f, 1, &mut scratch).unwrap();
+    let opt = optimize_with_poisoned_scratch(&f, 1, session.scratch_mut()).unwrap();
     let err = validate_optimized(&f, &opt, ValidationLevel::Fast, 0).unwrap_err();
     assert!(
         matches!(
@@ -72,7 +79,7 @@ fn poisoned_scratch_placement_is_caught_by_fast_validation() {
         &f,
         PreAlgorithm::LazyEdge,
         SolveStrategy::default(),
-        &mut scratch,
+        &mut session,
     )
     .unwrap();
     assert_eq!(recovered.plan.edge_inserts, clean.plan.edge_inserts);
@@ -95,18 +102,18 @@ fn function_boundary_poison_is_conservative_or_caught_and_recovers() {
     {
         let clean = optimize(f, PreAlgorithm::LazyEdge).unwrap();
         for seed in 0..3u64 {
-            let mut scratch = SolverScratch::new();
-            optimize_on(f, PreAlgorithm::LazyEdge, strategy, &mut scratch).unwrap();
-            scratch.poison_for_fault_injection(seed);
+            let mut session = Session::new();
+            optimize_on(f, PreAlgorithm::LazyEdge, strategy, &mut session).unwrap();
+            session.scratch_mut().poison_for_fault_injection(seed);
             // A divergence (`Err`) is the loud failure mode; an `Ok` must
             // validate.
-            if let Ok(opt) = optimize_on(f, PreAlgorithm::LazyEdge, strategy, &mut scratch) {
+            if let Ok(opt) = optimize_on(f, PreAlgorithm::LazyEdge, strategy, &mut session) {
                 validate_optimized(f, &opt, ValidationLevel::Fast, 0).unwrap_or_else(|e| {
                     panic!("fn {i} seed {seed}: invalid program slipped through: {e}")
                 });
             }
             // Either way the arena is clean again afterwards.
-            let recovered = optimize_on(f, PreAlgorithm::LazyEdge, strategy, &mut scratch).unwrap();
+            let recovered = optimize_on(f, PreAlgorithm::LazyEdge, strategy, &mut session).unwrap();
             assert_eq!(recovered.plan.edge_inserts, clean.plan.edge_inserts);
             assert_eq!(recovered.plan.entry_insert, clean.plan.entry_insert);
         }
@@ -117,7 +124,7 @@ fn function_boundary_poison_is_conservative_or_caught_and_recovers() {
 fn unpoisoned_scratch_reuse_never_bleeds_across_functions() {
     // The actual batch-mode path: one scratch across many differently
     // shaped functions must reproduce fresh-scratch results bit for bit.
-    let mut scratch = SolverScratch::new();
+    let mut session = Session::new();
     let mut fns = corpus(0x000C_1EA4, 30, &GenOptions::default());
     fns.extend(corpus(0x000C_1EA5, 6, &GenOptions::sized(90)));
     for f in &fns {
@@ -126,7 +133,7 @@ fn unpoisoned_scratch_reuse_never_bleeds_across_functions() {
             f,
             PreAlgorithm::LazyEdge,
             SolveStrategy::default(),
-            &mut scratch,
+            &mut session,
         )
         .unwrap();
         assert_eq!(reused.plan.edge_inserts, fresh.plan.edge_inserts);

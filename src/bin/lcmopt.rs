@@ -61,8 +61,8 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use lcm::core::{
-    metrics, optimize, optimize_checked, passes, report, EdgeWeights, OptimizeBudget, Optimized,
-    PipelineError, PreAlgorithm, SpecStats, ValidationLevel, ValidationReport,
+    metrics, optimize, optimize_checked, passes, report, EdgeWeights, OptimizeBudget, PreAlgorithm,
+    Session, SpecStats, ValidationLevel, ValidationReport,
 };
 use lcm::dataflow::{SolveStrategy, SolverScratch};
 use lcm::driver::protocol::{
@@ -1236,42 +1236,34 @@ fn input_name(file: &Option<String>) -> &str {
     }
 }
 
-fn algorithm_by_name(name: &str) -> Option<PreAlgorithm> {
-    PreAlgorithm::ALL.into_iter().find(|a| a.name() == name)
+/// The PRE algorithm a pass name selects; `spec` only with edge weights.
+fn algorithm_by_name(name: &str, weighted: bool) -> Option<PreAlgorithm> {
+    let spec = weighted.then_some(PreAlgorithm::Speculative);
+    let mut all = PreAlgorithm::ALL.into_iter().chain(spec);
+    all.find(|a| a.name() == name)
 }
 
 /// Seed for the full tier's differential input sampling: fixed, so runs
 /// are reproducible; validation failures therefore always replay.
 const VALIDATION_SEED: u64 = 0x1c3a_57ed;
 
-/// The checked PRE pass at the fixed validation seed, unbudgeted.
-fn checked_pass(
-    g: &Function,
-    alg: PreAlgorithm,
-    weights: Option<&EdgeWeights>,
-    level: ValidationLevel,
-) -> Result<(Optimized, ValidationReport), PipelineError> {
-    let (strategy, budget) = (SolveStrategy::default(), OptimizeBudget::unlimited());
-    let scratch = &mut SolverScratch::new();
-    optimize_checked(
-        g,
-        alg,
-        weights,
-        level,
-        VALIDATION_SEED,
-        strategy,
-        scratch,
-        &budget,
-    )
-}
+/// Each PRE pass's validation report, by pass name.
+type Reports = Vec<(String, ValidationReport)>;
 
+/// Runs `pass_names` in order, every PRE pass through the checked call at
+/// the fixed validation seed, unbudgeted; `weights` is the edge profile a
+/// `spec` pass plans against. Returns the result, the reports, and the
+/// speculative planner's decisions.
 fn run_pipeline(
     f: &Function,
     pass_names: &[String],
     level: ValidationLevel,
-) -> Result<(Function, Vec<(String, ValidationReport)>), Failure> {
+    weights: Option<&EdgeWeights>,
+) -> Result<(Function, Reports, Option<SpecStats>), Failure> {
     let mut g = f.clone();
     let mut reports = Vec::new();
+    let mut spec = None;
+    let (mut session, budget) = (Session::new(), OptimizeBudget::unlimited());
     for name in pass_names {
         match name.as_str() {
             "lcse" => {
@@ -1289,19 +1281,21 @@ fn run_pipeline(
             "strength" => {
                 g = lcm::core::strength::strength_reduce(&g).function;
             }
-            other => match algorithm_by_name(other) {
-                Some(alg) => match checked_pass(&g, alg, None, level) {
-                    Ok((opt, rep)) => {
-                        reports.push((name.clone(), rep));
-                        g = opt.function;
-                    }
-                    Err(e) => {
-                        return Err(Failure::new(
-                            EXIT_PASS,
-                            format!("pass `{name}` failed: {e}"),
-                        ));
-                    }
-                },
+            other => match algorithm_by_name(other, weights.is_some()) {
+                Some(placement) => {
+                    let opts = lcm::core::Options {
+                        placement,
+                        validate: level,
+                        seed: VALIDATION_SEED,
+                        solver: SolveStrategy::default(),
+                    };
+                    let failed = |e| Failure::new(EXIT_PASS, format!("pass `{name}` failed: {e}"));
+                    let (opt, rep) = optimize_checked(&g, weights, &opts, &budget, &mut session)
+                        .map_err(failed)?;
+                    reports.push((name.clone(), rep));
+                    spec = opt.spec.or(spec);
+                    g = opt.function;
+                }
                 None => {
                     return Err(Failure::new(
                         EXIT_USAGE,
@@ -1314,7 +1308,7 @@ fn run_pipeline(
             Failure::new(EXIT_PASS, format!("pass `{name}` produced invalid IR: {e}"))
         })?;
     }
-    Ok((g, reports))
+    Ok((g, reports, spec))
 }
 
 /// The default pass pipeline with the PRE step swapped for `alg`.
@@ -1326,25 +1320,6 @@ fn placement_passes(alg: PreAlgorithm) -> Vec<String> {
         "dce".into(),
         "simplify".into(),
     ]
-}
-
-/// The speculative pipeline: LCSE → checked profile-guided PRE → the same
-/// cleanup passes as the default pipeline.
-fn run_speculative_pipeline(
-    f: &Function,
-    w: &EdgeWeights,
-    level: ValidationLevel,
-) -> Result<(Function, ValidationReport, SpecStats), Failure> {
-    let mut g = f.clone();
-    passes::lcse(&mut g);
-    let (opt, rep) = checked_pass(&g, PreAlgorithm::Speculative, Some(w), level)
-        .map_err(|e| Failure::new(EXIT_PASS, format!("pass `spec` failed: {e}")))?;
-    let stats = opt.spec.unwrap_or_default();
-    let mut g = opt.function;
-    passes::cleanup(&mut g);
-    verify(&g)
-        .map_err(|e| Failure::new(EXIT_PASS, format!("pass `spec` produced invalid IR: {e}")))?;
-    Ok((g, rep, stats))
 }
 
 fn compare(f: &Function) -> Result<(), Failure> {
@@ -1477,10 +1452,9 @@ fn real_main() -> Result<(), Failure> {
         return compare(&f);
     }
 
-    let mut spec_stats: Option<SpecStats> = None;
     let mut profile_note: Option<String> = None;
-    let (g, reports) = match opts.placement {
-        None => run_pipeline(&f, &opts.passes, opts.validate)?,
+    let (g, reports, spec_stats) = match opts.placement {
+        None => run_pipeline(&f, &opts.passes, opts.validate, None)?,
         Some(PreAlgorithm::Speculative) => {
             match module
                 .profile(&f.name)
@@ -1492,18 +1466,18 @@ fn real_main() -> Result<(), Failure> {
                         w.edges.len(),
                         w.entry
                     ));
-                    let (g, rep, stats) = run_speculative_pipeline(&f, &w, opts.validate)?;
-                    spec_stats = Some(stats);
-                    (g, vec![("spec".to_string(), rep)])
+                    let passes = placement_passes(PreAlgorithm::Speculative);
+                    run_pipeline(&f, &passes, opts.validate, Some(&w))?
                 }
                 None => {
                     profile_note =
                         Some("profile: none — speculative placement fell back to lcm".to_string());
-                    run_pipeline(&f, &placement_passes(PreAlgorithm::LazyEdge), opts.validate)?
+                    let passes = placement_passes(PreAlgorithm::LazyEdge);
+                    run_pipeline(&f, &passes, opts.validate, None)?
                 }
             }
         }
-        Some(alg) => run_pipeline(&f, &placement_passes(alg), opts.validate)?,
+        Some(alg) => run_pipeline(&f, &placement_passes(alg), opts.validate, None)?,
     };
 
     match opts.emit.as_str() {

@@ -330,3 +330,69 @@ fn a_poisoned_cache_entry_is_quarantined_not_served_or_failed() {
     assert!(lifetime.contains(" 1 quarantines"), "{lifetime}");
     assert_eq!(output(key), honest.output_text);
 }
+
+/// Runs `lcmopt` with `args` and returns its stdout; the run must succeed.
+fn lcmopt_stdout(args: &[&str]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_lcmopt"))
+        .args(args)
+        .output()
+        .expect("spawn lcmopt");
+    assert!(
+        out.status.success(),
+        "lcmopt {args:?}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout).expect("utf-8 stdout")
+}
+
+/// `lcmopt FILE` and `lcmopt batch FILE --emit text` run the same checked
+/// PRE call, so on a single-function file they print the same bytes: at
+/// every placement and validation tier, over `testdata/` and a few
+/// generated functions, one of them with an edge profile.
+#[test]
+fn single_function_files_print_like_batch() {
+    use lcm::cfggen::{corpus, synthetic_profile, GenOptions};
+    use lcm::ir::Module;
+
+    let scratch = Scratch::new("file_parity");
+    let mut files: Vec<String> =
+        std::fs::read_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/testdata"))
+            .expect("read testdata")
+            .map(|e| e.expect("testdata entry").path())
+            .filter(|p| p.extension().is_some_and(|x| x == "lcm"))
+            .map(|p| p.display().to_string())
+            .collect();
+    files.sort();
+    assert!(files.len() >= 4, "{files:?}");
+    for (i, f) in corpus(0xF11E, 3, &GenOptions::default())
+        .into_iter()
+        .enumerate()
+    {
+        let profile = (i == 0).then(|| synthetic_profile(&f, 7));
+        let mut m = Module::new(vec![f]);
+        if let Some(p) = profile {
+            m.push_profile(p).expect("one profile");
+        }
+        files.push(scratch.file(&format!("gen{i}.lcm"), &m.to_string()));
+    }
+    for file in &files {
+        for placement in [None, Some("lcm"), Some("bcm"), Some("spec")] {
+            for tier in ["off", "fast", "full"] {
+                let validate = format!("--validate={tier}");
+                let mut single = Vec::new();
+                if let Some(p) = placement {
+                    single.extend(["--placement", p]);
+                }
+                single.extend([validate.as_str(), file.as_str()]);
+                let mut batched = vec!["batch", file.as_str()];
+                batched.extend(&single[..single.len() - 1]);
+                batched.extend(["--emit", "text"]);
+                assert_eq!(
+                    lcmopt_stdout(&single),
+                    lcmopt_stdout(&batched),
+                    "{file} {placement:?} {tier}"
+                );
+            }
+        }
+    }
+}

@@ -1,10 +1,11 @@
 //! The incremental re-optimization proof: across a seeded edit corpus
 //! (content edits and shape edits, hundreds of mutate steps), the delta
-//! path of `optimize_incremental_checked_with` produces **bit-identical** output to a
-//! from-scratch solve — including universe growth/shrink (column
-//! widening/remapping), mapped one-block shape edits (row permutation),
-//! and the full-solve fallback on everything more complex — and every
-//! result carries a fast-tier validation report.
+//! path of the checked call (`optimize_checked` on a retaining session)
+//! produces **bit-identical** output to a from-scratch solve — including
+//! universe growth/shrink (column widening/remapping), mapped one-block
+//! shape edits (row permutation), and the full-solve fallback on
+//! everything more complex — and every result carries a fast-tier
+//! validation report.
 //!
 //! The corpus is the centerpiece evidence for the delta solver's
 //! correctness argument: monotone gen/kill systems have a unique fixpoint,
@@ -16,28 +17,51 @@
 
 use lcm::cfggen::{mutate_function, seeded, structured, GenOptions, MutationKind};
 use lcm::core::{
-    optimize, optimize_incremental_checked_with, IncrementalOutcome, IncrementalState, Optimized,
-    PipelineError, PreAlgorithm, ValidationLevel,
+    optimize, optimize_checked, IncrementalOutcome, IncrementalState, OptimizeBudget, Optimized,
+    Options, PipelineError, PreAlgorithm, Session, ValidationLevel,
 };
-use lcm::dataflow::{SolveStrategy, SolverScratch};
+use lcm::dataflow::SolveStrategy;
 use lcm::ir::{parse_function, Function};
 
-/// A fresh solve that retains its fixpoints, on the default solver.
-fn fresh_state(f: &Function) -> IncrementalState {
-    let scratch = &mut SolverScratch::new();
-    IncrementalState::fresh_with(f, SolveStrategy::default(), scratch)
-        .unwrap()
-        .1
+/// The checked call's settings: plain edge LCM at the fast tier.
+fn lcm_fast(seed: u64) -> Options {
+    Options {
+        placement: PreAlgorithm::LazyEdge,
+        validate: ValidationLevel::Fast,
+        seed,
+        solver: SolveStrategy::default(),
+    }
 }
 
-/// A delta solve against `prev` at the fast validation tier.
+/// A fresh solve that retains its fixpoints: the checked call on a
+/// retaining session with no state yet.
+fn fresh_state(f: &Function) -> IncrementalState {
+    let mut session = Session::new();
+    session.retain(None);
+    let budget = OptimizeBudget::unlimited();
+    optimize_checked(f, None, &lcm_fast(0), &budget, &mut session).unwrap();
+    session.release().expect("a retaining call retains").0
+}
+
+/// A delta solve against `prev` at the fast validation tier: the checked
+/// call on a session that holds `prev`.
 fn delta_solve(
     prev: &IncrementalState,
     f: &Function,
     seed: u64,
 ) -> Result<IncrementalOutcome, PipelineError> {
-    let (level, strategy) = (ValidationLevel::Fast, SolveStrategy::default());
-    optimize_incremental_checked_with(prev, f, level, seed, strategy, &mut SolverScratch::new())
+    let mut session = Session::new();
+    session.retain(Some(prev.clone()));
+    let budget = OptimizeBudget::unlimited();
+    let (optimized, report) = optimize_checked(f, None, &lcm_fast(seed), &budget, &mut session)?;
+    let (state, stats) = session.release().expect("a retaining call retains");
+    Ok(IncrementalOutcome {
+        optimized,
+        report,
+        state,
+        stats,
+        phases: session.phases(),
+    })
 }
 
 fn assert_bit_identical(out: &IncrementalOutcome, fresh: &Optimized, tag: &str) {

@@ -4,20 +4,28 @@
 
 use lcm::cfggen::{corpus, GenOptions};
 use lcm::core::{
-    check_memory_kills, optimize_checked, optimize_pipeline, ExprUniverse, LocalPredicates,
-    OptimizeBudget, Optimized, PipelineError, PreAlgorithm, ValidationLevel, ValidationReport,
+    check_memory_kills, optimize_checked, optimize_pipeline, EdgeWeights, ExprUniverse,
+    LocalPredicates, OptimizeBudget, Optimized, Options, PipelineError, PreAlgorithm, Session,
+    ValidationLevel, ValidationReport,
 };
-use lcm::dataflow::{SolveStrategy, SolverScratch};
+use lcm::dataflow::SolveStrategy;
 use lcm::ir::{parse_function, Expr, Function, Instr};
 
-/// `alg` through the checked pass boundary at the full validation tier.
+/// `alg` through the checked call at the full validation tier;
+/// speculative placement plans against unit edge weights.
 fn checked_full(
     f: &Function,
     alg: PreAlgorithm,
 ) -> Result<(Optimized, ValidationReport), PipelineError> {
-    let (level, seed, strategy) = (ValidationLevel::Full, 0x1c3a_57ed, SolveStrategy::default());
-    let (scratch, budget) = (&mut SolverScratch::new(), &OptimizeBudget::unlimited());
-    optimize_checked(f, alg, None, level, seed, strategy, scratch, budget)
+    let opts = Options {
+        placement: alg,
+        validate: ValidationLevel::Full,
+        seed: 0x1c3a_57ed,
+        solver: SolveStrategy::default(),
+    };
+    let unit = (alg == PreAlgorithm::Speculative).then(|| EdgeWeights::unit(f));
+    let budget = OptimizeBudget::unlimited();
+    optimize_checked(f, unit.as_ref(), &opts, &budget, &mut Session::new())
 }
 
 const MEMORY_LOOP: &str = include_str!(concat!(

@@ -441,3 +441,78 @@ fn daemon_and_watch_keep_the_same_incremental_ledger() {
     assert_eq!(d.panics_contained(), 0);
     d.shutdown().unwrap();
 }
+
+/// The Unix-socket front end: STATS, OPTIMIZE and SHUTDOWN, each on a fresh
+/// connection, against `serve_unix` running in a thread. The answers equal
+/// batch, `SHUTDOWN` ends the blocking accept loop, and the socket file is
+/// gone afterwards.
+#[cfg(unix)]
+#[test]
+fn unix_socket_daemon_answers_and_shuts_down() {
+    use std::os::unix::net::UnixStream;
+    use std::time::{Duration, Instant};
+
+    let dir = TempDir::new("socket");
+    let path = dir.0.join("lcm.sock");
+    let daemon = Daemon::start(ServeOptions {
+        workers: 2,
+        ..ServeOptions::default()
+    });
+    let server = {
+        let path = path.clone();
+        std::thread::spawn(move || daemon.serve_unix(&path))
+    };
+    let connect = || {
+        let start = Instant::now();
+        loop {
+            match UnixStream::connect(&path) {
+                Ok(stream) => return stream,
+                Err(e) if start.elapsed() > Duration::from_secs(10) => {
+                    panic!("daemon never listened: {e}")
+                }
+                Err(_) => std::thread::sleep(Duration::from_millis(5)),
+            }
+        }
+    };
+    let exchange = |request: &Request| {
+        let mut stream = connect();
+        write_request(&mut stream, request).expect("send request");
+        stream
+            .shutdown(std::net::Shutdown::Write)
+            .expect("half-close");
+        let mut responses = Vec::new();
+        while let Ok(Some(r)) = read_response(&mut stream) {
+            responses.push(r);
+        }
+        responses
+    };
+
+    let stats = exchange(&Request::Stats);
+    assert!(
+        matches!(&stats[..], [Response::Stats { text }] if text.starts_with("daemon: 0 served")),
+        "{stats:?}"
+    );
+    let optimized = exchange(&Request::Optimize {
+        deadline_ms: 0,
+        fuel: 0,
+        module: MODULE.to_string(),
+    });
+    assert_eq!(
+        optimized.last(),
+        Some(&Response::Done { ok: 3, failed: 0 }),
+        "{optimized:?}"
+    );
+    assert_eq!(assemble(&optimized), batch_answer());
+    assert_eq!(exchange(&Request::Shutdown), [Response::Bye]);
+
+    let start = Instant::now();
+    while !server.is_finished() {
+        assert!(
+            start.elapsed() < Duration::from_secs(10),
+            "serve_unix did not return after SHUTDOWN"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    server.join().expect("no panic").expect("clean drain");
+    assert!(!path.exists(), "the socket file is removed");
+}

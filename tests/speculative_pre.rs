@@ -18,19 +18,25 @@
 use lcm::cfggen::{corpus, synthetic_profile, GenOptions};
 use lcm::core::validate::{sample_inputs, validate_optimized};
 use lcm::core::{
-    optimize, optimize_speculative_checked_with, EdgeWeights, Optimized, PipelineError,
-    PreAlgorithm, ValidationLevel,
+    optimize, optimize_checked, EdgeWeights, OptimizeBudget, Optimized, Options, PipelineError,
+    PreAlgorithm, Session, ValidationLevel,
 };
-use lcm::dataflow::{SolveStrategy, SolverScratch};
+use lcm::dataflow::SolveStrategy;
 use lcm::driver::{report, BatchEngine, BatchOptions, BatchUnit};
 use lcm::interp::run;
 use lcm::ir::{Function, Module, Profile};
 
-/// The speculative placement under `w`, unvalidated.
+/// The speculative placement under `w` through the checked call,
+/// unvalidated.
 fn speculate(f: &Function, w: &EdgeWeights) -> Result<Optimized, PipelineError> {
-    let (level, strategy) = (ValidationLevel::Off, SolveStrategy::default());
-    optimize_speculative_checked_with(f, w, level, 0, strategy, &mut SolverScratch::new())
-        .map(|(opt, _)| opt)
+    let opts = Options {
+        placement: PreAlgorithm::Speculative,
+        validate: ValidationLevel::Off,
+        seed: 0,
+        solver: SolveStrategy::default(),
+    };
+    let budget = OptimizeBudget::unlimited();
+    optimize_checked(f, Some(w), &opts, &budget, &mut Session::new()).map(|(opt, _)| opt)
 }
 
 const CORPUS_SEED: u64 = 0x5EC_0001;
