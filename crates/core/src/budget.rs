@@ -104,11 +104,6 @@ impl OptimizeBudget {
         self
     }
 
-    /// Whether no constraint is attached at all.
-    pub fn is_unlimited(&self) -> bool {
-        self.deadline.is_none() && self.fuel.is_none() && self.cancel.is_none()
-    }
-
     /// Checks the deadline and the cancel flag at a stage boundary.
     ///
     /// # Errors
@@ -163,7 +158,6 @@ mod tests {
     #[test]
     fn unlimited_budget_never_cancels() {
         let b = OptimizeBudget::unlimited();
-        assert!(b.is_unlimited());
         b.check("any").unwrap();
         b.check_fuel("any", u64::MAX).unwrap();
     }

@@ -170,11 +170,6 @@ impl IncrementalState {
         Ok((optimized, state))
     }
 
-    /// The function this state's fixpoints belong to.
-    pub fn function(&self) -> &Function {
-        &self.function
-    }
-
     /// Scrambles the stored fixpoints with seeded noise while keeping
     /// their shape intact, so the next delta solve against this state
     /// seeds from garbage. Exists for fault-injection harnesses

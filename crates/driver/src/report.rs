@@ -10,25 +10,45 @@ use std::fmt::Write as _;
 
 use crate::{BatchResult, IncrementalUnit, UnitOutcome};
 
-/// The optimized module text: each successful unit's printed function in
-/// input order, failures as `#`-comment lines, separated by blank lines.
-/// The result is a valid module again whenever every unit succeeded (and
-/// no two units share a name).
-pub fn render_text(result: &BatchResult) -> String {
+/// One unit's part of a module text.
+#[derive(Clone, Copy, Debug)]
+pub enum UnitText<'a> {
+    /// The printed optimized function.
+    Ok(&'a str),
+    /// A failed unit, reported as a `#`-comment line.
+    Failed {
+        /// The function's name.
+        name: &'a str,
+        /// The failure kind's stable name ([`crate::FailureKind::name`]).
+        kind: &'a str,
+        /// What went wrong; control characters print as spaces.
+        message: &'a str,
+    },
+}
+
+/// The module text of `units` in order: each printed function, each
+/// failure as one `# fn NAME: FAILED (kind): message` line, separated by
+/// blank lines. The result is a valid module again whenever every unit
+/// succeeded (and no two units share a name). `lcmopt request` renders
+/// the daemon's streamed units through it, so its output equals batch's.
+pub fn render_units<'a>(units: impl IntoIterator<Item = UnitText<'a>>) -> String {
     let mut out = String::new();
-    for (i, unit) in result.units.iter().enumerate() {
+    for (i, unit) in units.into_iter().enumerate() {
         if i > 0 {
             out.push_str("\n\n");
         }
-        match &unit.outcome {
-            UnitOutcome::Ok(s) => out.push_str(&s.output),
-            UnitOutcome::Failed(e) => {
-                let _ = write!(
-                    out,
-                    "# fn {}: FAILED ({}): {}",
-                    unit.name,
-                    e.kind.name(),
-                    one_line(&e.message)
+        match unit {
+            UnitText::Ok(s) => out.push_str(s),
+            UnitText::Failed {
+                name,
+                kind,
+                message,
+            } => {
+                let _ = write!(out, "# fn {name}: FAILED ({kind}): ");
+                out.extend(
+                    message
+                        .chars()
+                        .map(|c| if c.is_control() { ' ' } else { c }),
                 );
             }
         }
@@ -37,31 +57,31 @@ pub fn render_text(result: &BatchResult) -> String {
     out
 }
 
+/// The optimized module text of a batch ([`render_units`]).
+pub fn render_text(result: &BatchResult) -> String {
+    render_units(result.units.iter().map(|unit| match &unit.outcome {
+        UnitOutcome::Ok(s) => UnitText::Ok(&s.output),
+        UnitOutcome::Failed(e) => UnitText::Failed {
+            name: &unit.name,
+            kind: e.kind.name(),
+            message: &e.message,
+        },
+    }))
+}
+
 /// [`render_text`] for the incremental runner's outcomes
 /// ([`BatchEngine::run_module_incremental`](crate::BatchEngine::run_module_incremental)):
 /// the same shape byte for byte, so `lcmopt watch` output diffs cleanly
 /// against a one-shot `lcmopt batch` on the same module.
 pub fn render_incremental_text(units: &[IncrementalUnit]) -> String {
-    let mut out = String::new();
-    for (i, unit) in units.iter().enumerate() {
-        if i > 0 {
-            out.push_str("\n\n");
-        }
-        match &unit.outcome {
-            Ok(s) => out.push_str(s),
-            Err(e) => {
-                let _ = write!(
-                    out,
-                    "# fn {}: FAILED ({}): {}",
-                    unit.name,
-                    e.kind.name(),
-                    one_line(&e.message)
-                );
-            }
-        }
-    }
-    out.push('\n');
-    out
+    render_units(units.iter().map(|unit| match &unit.outcome {
+        Ok(s) => UnitText::Ok(s),
+        Err(e) => UnitText::Failed {
+            name: &unit.name,
+            kind: e.kind.name(),
+            message: &e.message,
+        },
+    }))
 }
 
 /// The aggregate tables: batch counts, the merged solver statistics (same
@@ -195,13 +215,6 @@ pub fn render_json(result: &BatchResult) -> String {
     out
 }
 
-/// Collapses a message to one line for `#`-comment reporting.
-fn one_line(s: &str) -> String {
-    s.chars()
-        .map(|c| if c.is_control() { ' ' } else { c })
-        .collect()
-}
-
 /// Minimal JSON string escaping.
 fn esc(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
@@ -219,4 +232,26 @@ fn esc(s: &str) -> String {
         }
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn failures_print_as_one_comment_line() {
+        let text = render_units([
+            UnitText::Ok("fn a {\nentry:\n  ret\n}"),
+            UnitText::Failed {
+                name: "b",
+                kind: "pipeline",
+                message: "two\nlines\tand a tab",
+            },
+        ]);
+        assert_eq!(
+            text,
+            "fn a {\nentry:\n  ret\n}\n\n# fn b: FAILED (pipeline): two lines and a tab\n"
+        );
+        assert_eq!(render_units([]), "\n");
+    }
 }

@@ -30,10 +30,6 @@
 //!                        PRE algorithms bcm, lcm-edge, lcm-node,
 //!                        alcm-node, morel-renvoise, gcse.
 //!   -e, --emit KIND      output: text (default), dot, stats, none
-//!       --solver S       fixpoint solver for the fused LCM pipeline:
-//!                        rr (round-robin) or scc (SCC-priority, default).
-//!                        Same fixpoints either way; only the cost
-//!                        counters differ.
 //!       --validate[=L]   validation tier for PRE passes: off, fast
 //!                        (default; static invariant checks) or full
 //!                        (adds seeded differential execution)
@@ -54,28 +50,35 @@
 //!      paper invariant, or differing traces under --run
 //!   6  the daemon shed the request (overloaded; retry after the hint)
 //! ```
+//!
+//! Every command reads its arguments through one flag table ([`parse`])
+//! into one [`Cli`], whose library options start from
+//! [`ServeOptions::default`], and reads every module input through one
+//! loader ([`read`], [`load_text`], [`load_module`]).
 
 use std::io::Read;
 use std::panic::{self, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::ExitCode;
 
 use lcm::core::{
     metrics, optimize, optimize_checked, passes, report, EdgeWeights, OptimizeBudget, PreAlgorithm,
     Session, SpecStats, ValidationLevel, ValidationReport,
 };
-use lcm::dataflow::{SolveStrategy, SolverScratch};
+use lcm::dataflow::SolverScratch;
 use lcm::driver::protocol::{
     failure_code_name, read_response, write_request, Request, Response, ERR_PARSE,
 };
+use lcm::driver::report::{self as batch_report, UnitText};
 use lcm::driver::serve::{Daemon, ServeOptions};
 use lcm::driver::{
-    report as batch_report, text_from_bytes, BatchEngine, BatchOptions, BatchUnit, IncrementalMode,
-    LoadError, LoadStatus, UnitOutcome,
+    text_from_bytes, BatchEngine, BatchOptions, BatchUnit, IncrementalMode, LoadError, LoadStatus,
+    UnitOutcome,
 };
 use lcm::interp::{run, Inputs};
 use lcm::ir::{
     dot, lift_module, parse_function, parse_module, simplify_cfg, verify, Function, Module,
+    ParseError,
 };
 
 /// Internal error (caught panic).
@@ -90,22 +93,6 @@ const EXIT_VERIFY: u8 = 4;
 const EXIT_PASS: u8 = 5;
 /// The daemon shed the request under load (retry after the hint).
 const EXIT_OVERLOADED: u8 = 6;
-
-struct Options {
-    file: Option<String>,
-    passes: Vec<String>,
-    /// Whether `--passes` was given explicitly (it conflicts with
-    /// `--placement`, which rewrites the default pipeline).
-    passes_set: bool,
-    placement: Option<PreAlgorithm>,
-    emit: String,
-    solver: SolveStrategy,
-    validate: ValidationLevel,
-    inputs: Vec<(String, i64)>,
-    run: bool,
-    fuel: u64,
-    compare: bool,
-}
 
 /// A diagnostic plus the exit code it maps to.
 struct Failure {
@@ -122,10 +109,63 @@ impl Failure {
     }
 }
 
-fn usage() -> &'static str {
-    "usage: lcmopt [-p|--passes LIST] [--placement lcm|bcm|spec] \
+/// `lcmopt`'s commands; [`Command::File`] is `lcmopt [OPTIONS] [FILE]`.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Command {
+    File,
+    Batch,
+    Lift,
+    Serve,
+    Request,
+    Watch,
+}
+
+impl Command {
+    /// The command a first argument names; anything else is `File`'s.
+    fn named(arg: Option<&str>) -> Command {
+        match arg {
+            Some("batch") => Command::Batch,
+            Some("lift") => Command::Lift,
+            Some("serve") => Command::Serve,
+            Some("request") => Command::Request,
+            Some("watch") => Command::Watch,
+            _ => Command::File,
+        }
+    }
+
+    fn usage(self) -> &'static str {
+        match self {
+            Command::File => FILE_USAGE,
+            Command::Batch => BATCH_USAGE,
+            Command::Lift => LIFT_USAGE,
+            Command::Serve => SERVE_USAGE,
+            Command::Request => REQUEST_USAGE,
+            Command::Watch => WATCH_USAGE,
+        }
+    }
+
+    /// What the command's `--emit` accepts.
+    fn emits(self) -> &'static [(&'static str, Emit)] {
+        // Ordered so that each command's kinds are a prefix.
+        const EMITS: [(&str, Emit); 5] = [
+            ("text", Emit::Text),
+            ("dot", Emit::Dot),
+            ("stats", Emit::Stats),
+            ("none", Emit::None),
+            ("json", Emit::Json),
+        ];
+        match self {
+            Command::File => &EMITS[..4],
+            Command::Batch => &EMITS,
+            Command::Lift => &EMITS[..2],
+            Command::Serve | Command::Request | Command::Watch => &[],
+        }
+    }
+}
+
+const FILE_USAGE: &str = "usage: lcmopt [-p|--passes LIST] [--placement lcm|bcm|spec] \
      [-e|--emit text|dot|stats|none] \
-     [--solver rr|scc] [--validate[=off|fast|full]] [--run KEY=VAL]... \
+     [--validate[=off|fast|full]] [--run KEY=VAL]... \
      [--fuel N] [--compare] [FILE|-]\n\
      \x20      lcmopt batch [OPTIONS] <PATH|->   (see `lcmopt batch --help`)\n\
      \x20      lcmopt lift [OPTIONS] <FILE|->    (see `lcmopt lift --help`)\n\
@@ -137,115 +177,315 @@ fn usage() -> &'static str {
      and reads the input's `profile` section, falling back to lcm when \
      there is none\n\
      exit codes: 0 ok, 1 internal error, 2 usage, 3 parse, 4 verify, \
-     5 pass/validation failure"
+     5 pass/validation failure";
+
+const BATCH_USAGE: &str = "usage: lcmopt batch [-j|--jobs N] [--placement lcm|bcm|spec] \
+     [--cache on|off] \
+     [--cache-cap N] [--cache-file PATH] \
+     [-e|--emit text|dot|stats|json|none] \
+     [--validate[=off|fast|full]] <PATH|->\n\
+     PATH is a module file (many `fn`s), a directory of .lcm files, or `-` \
+     for a module on stdin.\n\
+     --placement spec uses each function's `profile` section for \
+     profile-guided speculative PRE; functions without one fall back to \
+     lcm.\n\
+     --jobs 0 (the default) uses all available cores. Output on stdout is \
+     byte-identical for every --jobs value; timing goes to stderr.\n\
+     --cache-file persists the plan cache across runs in the lcm-cache-v1 \
+     format (corrupt files are quarantined to a .corrupt sidecar and the \
+     run proceeds cold). Every cache hit is re-validated at the fast tier, \
+     whatever --validate says; a persisted entry that fails is quarantined \
+     (counted on the stats lifetime line), recomputed, and written back.\n\
+     exit codes: 0 ok, 1 internal error, 2 usage, 3 parse, 5 any unit failed";
+
+const LIFT_USAGE: &str = "usage: lcmopt lift [-e|--emit text|dot] [--stats] <FILE|->\n\
+     Lifts a flat three-address listing — one instruction per line, \
+     control via `goto INDEX` / `if VAR goto INDEX` / `ret`, optional \
+     `fn NAME` section headers — into block-structured module IR by a \
+     leader scan, and prints the module on stdout.\n\
+     The output composes with every other front: \
+     `lcmopt lift prog.l3a | lcmopt batch -` lifts then optimizes.\n\
+     --stats adds one summary line per function on stderr (instruction, \
+     block and dropped-unreachable-block counts).\n\
+     exit codes: 0 ok, 2 usage, 3 lift error (FILE:LINE: message, with \
+     LINE relative to the input file)";
+
+const SERVE_USAGE: &str = "usage: lcmopt serve [--socket PATH] [--cache-file PATH] [--workers N] \
+     [--queue-cap N] [--retry-after-ms N] [--placement lcm|bcm|spec] \
+     [--cache on|off] [--cache-cap N] \
+     [--validate[=off|fast|full]]\n\
+     Runs the optimization daemon: worker threads keep warm solver arenas \
+     across requests and share one plan cache.\n\
+     With --socket the daemon serves the framed protocol on a Unix socket \
+     until a client sends SHUTDOWN; without it, one connection on \
+     stdin/stdout until EOF. Either way it drains in-flight units, flushes \
+     the cache durably, and exits 0.\n\
+     --cache-file persists the plan cache (lcm-cache-v1; corrupt files are \
+     quarantined to a .corrupt sidecar and the daemon starts cold). The \
+     file is rewritten atomically after every request. Every cache hit is \
+     re-validated at the fast tier, whatever --validate says; a persisted \
+     entry that fails is quarantined (counted on the --stats lifetime \
+     line) and recomputed.\n\
+     --workers 0 (the default) uses all available cores. --queue-cap \
+     bounds admitted-but-unfinished units (0 = unbounded); requests beyond \
+     it are shed with OVERLOADED and the --retry-after-ms hint.";
+
+const REQUEST_USAGE: &str = "usage: lcmopt request --socket PATH [--deadline-ms N] [--fuel N] \
+     <PATH|->\n\
+     \x20      lcmopt request --socket PATH --stats|--shutdown\n\
+     Sends one module (a file, or `-` for stdin) to a running \
+     `lcmopt serve --socket` daemon and prints the optimized module — \
+     byte-identical to `lcmopt batch` output for the same input and \
+     configuration.\n\
+     --deadline-ms / --fuel bound each unit's work (0 = unlimited); a unit \
+     over budget is reported as a `cancelled` failure.\n\
+     --stats prints the daemon's counters; --shutdown asks it to drain, \
+     flush its cache, and exit.\n\
+     exit codes: 0 ok, 2 usage/transport, 3 the module failed to parse, \
+     5 any unit failed, 6 the daemon shed the request (overloaded)";
+
+const WATCH_USAGE: &str = "usage: lcmopt watch [--interval-ms N] [--iterations N] [-o|--output \
+     PATH] [--placement lcm|bcm|spec] \
+     [--validate[=off|fast|full]] <FILE>\n\
+     Optimizes the module in FILE, then polls it and re-optimizes on every \
+     change. Each function's AVAIL/ANTIC/LATER fixpoints are retained \
+     between revisions, so an edit is answered by an SCC-scoped delta \
+     solve that charges only for the blocks it can reach (a CFG-shape or \
+     universe change falls back to a full solve). Output is byte-identical \
+     to `lcmopt batch` on the same revision.\n\
+     The optimized module goes to stdout after every run, or to PATH with \
+     --output (rewritten in place). Per-iteration stats — fresh/delta/\
+     fallback per function, dirty blocks, block rows re-solved — go to \
+     stderr.\n\
+     --iterations N exits after N re-optimizations beyond the initial one \
+     (0, the default, watches until interrupted); a transiently unreadable \
+     or unparseable save is reported and skipped, not fatal.\n\
+     exit codes: 0 ok, 1 internal error, 2 usage, 3 the initial module \
+     failed to parse, 5 any unit of the last completed run failed";
+
+/// What `--emit` prints.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Emit {
+    Text,
+    Dot,
+    Stats,
+    Json,
+    None,
 }
 
-/// `Ok(None)` means help was requested (print usage, exit 0).
-fn parse_args() -> Result<Option<Options>, Failure> {
-    let mut opts = Options {
-        file: None,
-        passes: vec![
-            "lcse".into(),
-            "lcm-edge".into(),
-            "copyprop".into(),
-            "dce".into(),
-            "simplify".into(),
-        ],
-        passes_set: false,
-        placement: None,
-        emit: "text".into(),
-        solver: SolveStrategy::default(),
-        validate: ValidationLevel::Fast,
-        inputs: Vec::new(),
-        run: false,
-        fuel: 1_000_000,
-        compare: false,
+/// The placements `--placement` names.
+const PLACEMENTS: &[(&str, PreAlgorithm)] = &[
+    ("lcm", PreAlgorithm::LazyEdge),
+    ("bcm", PreAlgorithm::Busy),
+    ("spec", PreAlgorithm::Speculative),
+];
+
+/// Interpreter fuel for `lcmopt FILE` when `--fuel` does not set it.
+const INTERP_FUEL: u64 = 1_000_000;
+
+/// One command line, read by [`parse`]. The library's options start from
+/// [`ServeOptions::default`]: `serve.batch` is what `batch`, `watch` and
+/// `lcmopt FILE` optimize with, and `serve.cache_file` is `--cache-file`
+/// for `batch` too. Each field is set only by the commands whose flags
+/// name it.
+struct Cli {
+    /// The positional input: a file, a directory (`batch`), or `-` for
+    /// stdin.
+    input: Option<String>,
+    serve: ServeOptions,
+    emit: Emit,
+    /// `lcmopt FILE`: an explicit pass list, or a placement that swaps the
+    /// PRE step of the default one (mutually exclusive).
+    passes: Option<Vec<String>>,
+    placement: Option<PreAlgorithm>,
+    /// `lcmopt FILE --run` inputs, in order.
+    runs: Vec<(String, i64)>,
+    /// `--fuel`: the interpreter's for `lcmopt FILE` (default
+    /// [`INTERP_FUEL`]), each unit's for `request` (default 0, unlimited).
+    fuel: Option<u64>,
+    compare: bool,
+    /// `lift --stats` and `request --stats`.
+    stats: bool,
+    socket: Option<String>,
+    deadline_ms: u32,
+    shutdown: bool,
+    interval_ms: u64,
+    iterations: u64,
+    output: Option<String>,
+}
+
+impl Cli {
+    /// The positional input; `-` (stdin) when none was given.
+    fn input(&self) -> &str {
+        self.input.as_deref().unwrap_or("-")
+    }
+}
+
+/// Reads `cmd`'s arguments. Each flag is matched together with the
+/// commands that take it; whatever no command takes is the one positional
+/// input or a usage error. `Ok(None)` means `-h`/`--help` was given.
+fn parse(cmd: Command, args: Vec<String>) -> Result<Option<Cli>, Failure> {
+    use Command::*;
+    let mut a = Args {
+        rest: args.into_iter(),
+        usage: cmd.usage(),
     };
-    let usage_err = |msg: String| Failure::new(EXIT_USAGE, format!("{msg}\n{}", usage()));
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "-h" | "--help" => return Ok(None),
-            "-p" | "--passes" => {
-                let list = args
-                    .next()
-                    .ok_or_else(|| usage_err("--passes needs an argument".into()))?;
-                opts.passes = list.split(',').map(|s| s.trim().to_string()).collect();
-                opts.passes_set = true;
+    let mut cli = Cli {
+        input: None,
+        serve: ServeOptions::default(),
+        emit: Emit::Text,
+        passes: None,
+        placement: None,
+        runs: Vec::new(),
+        fuel: None,
+        compare: false,
+        stats: false,
+        socket: None,
+        deadline_ms: 0,
+        shutdown: false,
+        interval_ms: 50,
+        iterations: 0,
+        output: None,
+    };
+    let opts = &mut cli.serve;
+    while let Some(arg) = a.rest.next() {
+        match (cmd, arg.as_str()) {
+            (_, "-h" | "--help") => return Ok(None),
+            (File, "-p" | "--passes") => {
+                let list = a.value(&arg)?;
+                cli.passes = Some(list.split(',').map(|s| s.trim().to_string()).collect());
             }
-            "--placement" => {
-                let v = args
-                    .next()
-                    .ok_or_else(|| usage_err("--placement needs lcm|bcm|spec".into()))?;
-                opts.placement = Some(parse_placement(&v).map_err(usage_err)?);
+            (File, "--placement") => {
+                cli.placement = Some(a.choice(&arg, "placement", PLACEMENTS)?);
             }
-            "-e" | "--emit" => {
-                opts.emit = args
-                    .next()
-                    .ok_or_else(|| usage_err("--emit needs an argument".into()))?;
-                if !["text", "dot", "stats", "none"].contains(&opts.emit.as_str()) {
-                    return Err(usage_err(format!("unknown emit kind `{}`", opts.emit)));
-                }
+            (Batch | Serve | Watch, "--placement") => {
+                opts.batch.placement = a.choice(&arg, "placement", PLACEMENTS)?;
             }
-            "--solver" => opts.solver = parse_solver(args.next()).map_err(usage_err)?,
-            "--validate" => opts.validate = ValidationLevel::Fast,
-            "--run" => {
-                let kv = args
-                    .next()
-                    .ok_or_else(|| usage_err("--run needs KEY=VAL".into()))?;
-                let (k, v) = kv
+            (File | Batch | Serve | Watch, v)
+                if v == "--validate" || v.starts_with("--validate=") =>
+            {
+                opts.batch.validate = a.validate(v)?;
+            }
+            (File | Batch | Lift, "-e" | "--emit") => {
+                cli.emit = a.choice(&arg, "emit kind", cmd.emits())?;
+            }
+            (File, "--run") => {
+                let kv = a.value(&arg)?;
+                let run = kv
                     .split_once('=')
-                    .ok_or_else(|| usage_err("--run needs KEY=VAL".into()))?;
-                let v: i64 = v
-                    .parse()
-                    .map_err(|_| usage_err(format!("bad value in `{kv}`")))?;
-                opts.inputs.push((k.to_string(), v));
-                opts.run = true;
+                    .and_then(|(k, v)| Some((k, v.parse().ok()?)));
+                let (k, v) =
+                    run.ok_or_else(|| a.error(format!("--run needs KEY=VAL, not `{kv}`")))?;
+                cli.runs.push((k.to_string(), v));
             }
-            "--fuel" => {
-                let n = args
-                    .next()
-                    .ok_or_else(|| usage_err("--fuel needs an argument".into()))?;
-                opts.fuel = n
-                    .parse()
-                    .map_err(|_| usage_err(format!("bad fuel `{n}`")))?;
+            (File | Request, "--fuel") => cli.fuel = Some(a.number(&arg)?),
+            (File, "--compare") => cli.compare = true,
+            (Batch, "-j" | "--jobs") => opts.batch.jobs = a.threads(&arg, "job")?,
+            (Serve, "--workers") => opts.workers = a.threads(&arg, "worker")?,
+            (Batch | Serve, "--cache") => {
+                opts.batch.use_cache =
+                    a.choice(&arg, "cache mode", &[("on", true), ("off", false)])?;
             }
-            "--compare" => opts.compare = true,
-            other if other.starts_with("--validate=") => {
-                let level = &other["--validate=".len()..];
-                opts.validate = level.parse().map_err(usage_err)?;
-            }
-            other if other.starts_with('-') && other != "-" => {
-                return Err(usage_err(format!("unknown option `{other}`")));
-            }
-            file => {
-                if opts.file.is_some() {
-                    return Err(usage_err("more than one input file".into()));
-                }
-                opts.file = Some(file.to_string());
+            (Batch | Serve, "--cache-cap") => opts.batch.cache_capacity = a.number(&arg)?,
+            (Batch | Serve, "--cache-file") => opts.cache_file = Some(a.value(&arg)?.into()),
+            (Serve, "--queue-cap") => opts.queue_capacity = a.number(&arg)?,
+            (Serve, "--retry-after-ms") => opts.retry_after_ms = a.number(&arg)?,
+            (Serve | Request, "--socket") => cli.socket = Some(a.value(&arg)?),
+            (Lift | Request, "--stats") => cli.stats = true,
+            (Request, "--deadline-ms") => cli.deadline_ms = a.number(&arg)?,
+            (Request, "--shutdown") => cli.shutdown = true,
+            (Watch, "--interval-ms") => cli.interval_ms = a.number(&arg)?,
+            (Watch, "--iterations") => cli.iterations = a.number(&arg)?,
+            (Watch, "-o" | "--output") => cli.output = Some(a.value(&arg)?),
+            // `serve` reads no input, and `watch` polls a file, not stdin.
+            (Serve, _) | (Watch, "-") => return Err(a.unknown(&arg)),
+            (_, v) if v.starts_with('-') && v != "-" => return Err(a.unknown(&arg)),
+            _ if cli.input.is_some() => return Err(a.error("more than one input")),
+            _ => cli.input = Some(arg),
+        }
+    }
+    // `request` sends a module, asks for stats or asks for a shutdown.
+    let modes =
+        usize::from(cli.input.is_some()) + usize::from(cli.stats) + usize::from(cli.shutdown);
+    let problem = match cmd {
+        File if cli.passes.is_some() && cli.placement.is_some() => {
+            Some("--placement and --passes are mutually exclusive")
+        }
+        Batch if cli.input.is_none() => Some("batch needs an input PATH"),
+        Lift if cli.input.is_none() => Some("lift needs an input FILE"),
+        Watch if cli.input.is_none() => Some("watch needs an input FILE"),
+        Request if cli.socket.is_none() => Some("request needs --socket PATH"),
+        Request if modes != 1 => {
+            Some("request needs exactly one of: an input PATH, --stats, --shutdown")
+        }
+        _ => None,
+    };
+    match problem {
+        Some(p) => Err(a.error(p)),
+        None => Ok(Some(cli)),
+    }
+}
+
+/// One command's arguments, read left to right. Every malformed one is a
+/// usage error: exit 2, with the command's usage appended.
+struct Args {
+    rest: std::vec::IntoIter<String>,
+    usage: &'static str,
+}
+
+impl Args {
+    fn error(&self, message: impl std::fmt::Display) -> Failure {
+        Failure::new(EXIT_USAGE, format!("{message}\n{}", self.usage))
+    }
+
+    fn unknown(&self, arg: &str) -> Failure {
+        self.error(format!("unknown argument `{arg}`"))
+    }
+
+    /// The value after `flag`.
+    fn value(&mut self, flag: &str) -> Result<String, Failure> {
+        let v = self.rest.next();
+        v.ok_or_else(|| self.error(format!("{flag} needs an argument")))
+    }
+
+    /// The number after `flag`.
+    fn number<N: std::str::FromStr>(&mut self, flag: &str) -> Result<N, Failure> {
+        let v = self.value(flag)?;
+        v.parse()
+            .map_err(|_| self.error(format!("{flag} needs a number, not `{v}`")))
+    }
+
+    /// The thread count after `flag` (see [`parse_thread_count`]).
+    fn threads(&mut self, flag: &str, what: &str) -> Result<usize, Failure> {
+        let v = self.value(flag)?;
+        parse_thread_count(what, &v).map_err(|e| self.error(e))
+    }
+
+    /// The value after `flag`, which must name one of `choices`; `what`
+    /// names the kind in the diagnostic.
+    fn choice<T: Copy>(
+        &mut self,
+        flag: &str,
+        what: &str,
+        choices: &[(&str, T)],
+    ) -> Result<T, Failure> {
+        let v = self.value(flag)?;
+        match choices.iter().find(|(name, _)| *name == v) {
+            Some(&(_, chosen)) => Ok(chosen),
+            None => {
+                let names: Vec<&str> = choices.iter().map(|(name, _)| *name).collect();
+                Err(self.error(format!("unknown {what} `{v}` (want {})", names.join(", "))))
             }
         }
     }
-    Ok(Some(opts))
-}
 
-/// Maps a `--placement` argument to the PRE algorithm it selects.
-fn parse_placement(v: &str) -> Result<PreAlgorithm, String> {
-    match v {
-        "lcm" => Ok(PreAlgorithm::LazyEdge),
-        "bcm" => Ok(PreAlgorithm::Busy),
-        "spec" => Ok(PreAlgorithm::Speculative),
-        other => Err(format!(
-            "unknown placement `{other}` (want lcm, bcm or spec)"
-        )),
+    /// `--validate` (the fast tier) or `--validate=LEVEL`.
+    fn validate(&self, arg: &str) -> Result<ValidationLevel, Failure> {
+        match arg.strip_prefix("--validate=") {
+            Some(level) => level.parse().map_err(|e: String| self.error(e)),
+            None => Ok(ValidationLevel::Fast),
+        }
     }
-}
-
-/// Maps a `--solver` argument (`None` when it is missing) to the fixpoint
-/// schedule it selects.
-fn parse_solver(v: Option<String>) -> Result<SolveStrategy, String> {
-    v.ok_or_else(|| "--solver needs rr|scc".to_string())?
-        .parse()
 }
 
 /// The most threads `batch --jobs` or `serve --workers` may ask for. Both
@@ -267,144 +507,53 @@ fn parse_thread_count(what: &str, n: &str) -> Result<usize, String> {
     }
 }
 
-/// Options for `lcmopt batch`.
-struct BatchCli {
-    path: String,
-    jobs: usize,
-    placement: PreAlgorithm,
-    solver: SolveStrategy,
-    cache: bool,
-    cache_capacity: usize,
-    cache_file: Option<String>,
-    emit: String,
-    validate: ValidationLevel,
-}
-
-fn batch_usage() -> &'static str {
-    "usage: lcmopt batch [-j|--jobs N] [--placement lcm|bcm|spec] \
-     [--solver rr|scc] [--cache on|off] \
-     [--cache-cap N] [--cache-file PATH] \
-     [-e|--emit text|dot|stats|json|none] \
-     [--validate[=off|fast|full]] <PATH|->\n\
-     PATH is a module file (many `fn`s), a directory of .lcm files, or `-` \
-     for a module on stdin.\n\
-     --placement spec uses each function's `profile` section for \
-     profile-guided speculative PRE; functions without one fall back to \
-     lcm.\n\
-     --jobs 0 (the default) uses all available cores. Output on stdout is \
-     byte-identical for every --jobs value; timing goes to stderr.\n\
-     --cache-file persists the plan cache across runs in the lcm-cache-v1 \
-     format (corrupt files are quarantined to a .corrupt sidecar and the \
-     run proceeds cold). Every cache hit is re-validated at the fast tier, \
-     whatever --validate says; a persisted entry that fails is quarantined \
-     (counted on the stats lifetime line), recomputed, and written back.\n\
-     exit codes: 0 ok, 1 internal error, 2 usage, 3 parse, 5 any unit failed"
-}
-
-/// `Ok(None)` means help was requested (print batch usage, exit 0).
-fn parse_batch_args(mut args: impl Iterator<Item = String>) -> Result<Option<BatchCli>, Failure> {
-    let mut path: Option<String> = None;
-    let mut opts = BatchCli {
-        path: String::new(),
-        jobs: 0,
-        placement: PreAlgorithm::LazyEdge,
-        solver: SolveStrategy::default(),
-        cache: true,
-        cache_capacity: 4096,
-        cache_file: None,
-        emit: "text".into(),
-        validate: ValidationLevel::Fast,
-    };
-    let usage_err = |msg: String| Failure::new(EXIT_USAGE, format!("{msg}\n{}", batch_usage()));
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "-h" | "--help" => return Ok(None),
-            "-j" | "--jobs" => {
-                let n = args
-                    .next()
-                    .ok_or_else(|| usage_err("--jobs needs an argument".into()))?;
-                opts.jobs = parse_thread_count("job", &n).map_err(usage_err)?;
-            }
-            "--placement" => {
-                let v = args
-                    .next()
-                    .ok_or_else(|| usage_err("--placement needs lcm|bcm|spec".into()))?;
-                opts.placement = parse_placement(&v).map_err(usage_err)?;
-            }
-            "--solver" => opts.solver = parse_solver(args.next()).map_err(usage_err)?,
-            "--cache" => {
-                let v = args
-                    .next()
-                    .ok_or_else(|| usage_err("--cache needs on|off".into()))?;
-                opts.cache = match v.as_str() {
-                    "on" => true,
-                    "off" => false,
-                    other => return Err(usage_err(format!("bad cache mode `{other}`"))),
-                };
-            }
-            "--cache-cap" => {
-                let n = args
-                    .next()
-                    .ok_or_else(|| usage_err("--cache-cap needs an argument".into()))?;
-                opts.cache_capacity = n
-                    .parse()
-                    .map_err(|_| usage_err(format!("bad cache capacity `{n}`")))?;
-            }
-            "--cache-file" => {
-                let p = args
-                    .next()
-                    .ok_or_else(|| usage_err("--cache-file needs a path".into()))?;
-                opts.cache_file = Some(p);
-            }
-            "-e" | "--emit" => {
-                opts.emit = args
-                    .next()
-                    .ok_or_else(|| usage_err("--emit needs an argument".into()))?;
-                if !["text", "dot", "stats", "json", "none"].contains(&opts.emit.as_str()) {
-                    return Err(usage_err(format!("unknown emit kind `{}`", opts.emit)));
-                }
-            }
-            "--validate" => opts.validate = ValidationLevel::Fast,
-            other if other.starts_with("--validate=") => {
-                let level = &other["--validate=".len()..];
-                opts.validate = level.parse().map_err(usage_err)?;
-            }
-            other if other.starts_with('-') && other != "-" => {
-                return Err(usage_err(format!("unknown option `{other}`")));
-            }
-            p => {
-                if path.is_some() {
-                    return Err(usage_err("more than one input path".into()));
-                }
-                path = Some(p.to_string());
-            }
-        }
+/// The name shown in diagnostics for `input`.
+fn input_name(input: &str) -> &str {
+    match input {
+        "-" => "<stdin>",
+        path => path,
     }
-    opts.path = path.ok_or_else(|| usage_err("batch needs an input PATH".into()))?;
-    Ok(Some(opts))
 }
 
-fn load_batch_units(path: &str) -> Result<Vec<BatchUnit>, Failure> {
-    if path == "-" {
-        // Read raw bytes so an invalid UTF-8 stream gets the same spanned
-        // `<stdin>:line:col` diagnostic (and exit code) as a parse error —
-        // not an unlabeled usage error.
-        let mut bytes = Vec::new();
+/// The bytes of `input`: stdin for `-`, else the file. Unreadable input is
+/// a usage error.
+fn read(input: &str) -> Result<Vec<u8>, Failure> {
+    if input == "-" {
+        let mut buf = Vec::new();
         std::io::stdin()
-            .read_to_end(&mut bytes)
+            .read_to_end(&mut buf)
             .map_err(|e| Failure::new(EXIT_USAGE, format!("reading stdin: {e}")))?;
-        let text = text_from_bytes(bytes).map_err(|e| {
-            Failure::new(
-                EXIT_PARSE,
-                format!("<stdin>:{}:{}: {}", e.line, e.col, e.message),
-            )
-        })?;
-        let module = parse_module(&text).map_err(|e| {
-            Failure::new(
-                EXIT_PARSE,
-                format!("<stdin>:{}:{}: {}", e.line, e.col, e.message),
-            )
-        })?;
+        return Ok(buf);
+    }
+    std::fs::read(input).map_err(|e| Failure::new(EXIT_USAGE, format!("reading {input}: {e}")))
+}
+
+/// A parse error in `input` as the spanned `NAME:line:col: message`
+/// diagnostic.
+fn spanned(input: &str, e: &ParseError) -> Failure {
+    Failure::new(
+        EXIT_PARSE,
+        format!("{}:{}:{}: {}", input_name(input), e.line, e.col, e.message),
+    )
+}
+
+/// The text of `input` from its bytes. Invalid UTF-8 is a malformed input,
+/// not an I/O accident: it gets the spanned diagnostic of a parse error.
+fn load_text(input: &str, bytes: Vec<u8>) -> Result<String, Failure> {
+    text_from_bytes(bytes).map_err(|e| spanned(input, &e))
+}
+
+/// The module in `input`'s bytes: a file, stdin, or a watched revision.
+fn load_module(input: &str, bytes: Vec<u8>) -> Result<Module, Failure> {
+    let text = load_text(input, bytes)?;
+    parse_module(&text).map_err(|e| spanned(input, &e))
+}
+
+/// A batch's units: the module on stdin for `-`, else every function of a
+/// module file or of a directory's `.lcm` files.
+fn batch_units(input: &str) -> Result<Vec<BatchUnit>, Failure> {
+    if input == "-" {
+        let module = load_module(input, read(input)?)?;
         return Ok(module
             .iter()
             .map(|f| BatchUnit {
@@ -414,38 +563,26 @@ fn load_batch_units(path: &str) -> Result<Vec<BatchUnit>, Failure> {
             })
             .collect());
     }
-    lcm::driver::load_units(Path::new(path)).map_err(|e| match &e {
-        LoadError::Parse { path, error } => Failure::new(
-            EXIT_PARSE,
-            format!("{path}:{}:{}: {}", error.line, error.col, error.message),
-        ),
+    lcm::driver::load_units(Path::new(input)).map_err(|e| match &e {
+        LoadError::Parse { path, error } => spanned(path, error),
         _ => Failure::new(EXIT_USAGE, e.to_string()),
     })
 }
 
-fn run_batch(cli: BatchCli) -> Result<(), Failure> {
-    let units = load_batch_units(&cli.path)?;
+fn run_batch(cli: Cli) -> Result<(), Failure> {
+    let units = batch_units(cli.input())?;
     let n = units.len();
     let start = std::time::Instant::now();
-    let opts = BatchOptions {
-        jobs: cli.jobs,
-        placement: cli.placement,
-        validate: cli.validate,
-        seed: VALIDATION_SEED,
-        use_cache: cli.cache,
-        cache_capacity: cli.cache_capacity,
-        strategy: cli.solver,
-    };
-    let mut engine = match &cli.cache_file {
+    let mut engine = match &cli.serve.cache_file {
         Some(path) => {
-            let engine = BatchEngine::with_cache_file(opts, Path::new(path));
+            let engine = BatchEngine::with_cache_file(cli.serve.batch, path);
             note_load_status("batch", engine.load_status());
             engine
         }
-        None => BatchEngine::new(opts),
+        None => BatchEngine::new(cli.serve.batch),
     };
     let result = engine.run(units);
-    if cli.cache_file.is_some() {
+    if cli.serve.cache_file.is_some() {
         engine
             .flush_cache_file()
             .map_err(|e| Failure::new(EXIT_USAGE, format!("writing cache file: {e}")))?;
@@ -459,11 +596,11 @@ fn run_batch(cli: BatchCli) -> Result<(), Failure> {
         result.totals.cache.hits,
         start.elapsed()
     );
-    match cli.emit.as_str() {
-        "text" => print!("{}", batch_report::render_text(&result)),
-        "stats" => print!("{}", batch_report::render_stats(&result)),
-        "json" => print!("{}", batch_report::render_json(&result)),
-        "dot" => {
+    match cli.emit {
+        Emit::Text => print!("{}", batch_report::render_text(&result)),
+        Emit::Stats => print!("{}", batch_report::render_stats(&result)),
+        Emit::Json => print!("{}", batch_report::render_json(&result)),
+        Emit::Dot => {
             // One digraph per successful unit. Names can repeat across a
             // directory batch; suffix repeats so every graph renders.
             let mut m = Module::default();
@@ -478,8 +615,7 @@ fn run_batch(cli: BatchCli) -> Result<(), Failure> {
             }
             print!("{}", dot::render_module(&m));
         }
-        "none" => {}
-        _ => unreachable!("emit kind validated"),
+        Emit::None => {}
     }
     if result.totals.failed > 0 {
         return Err(Failure::new(
@@ -490,70 +626,13 @@ fn run_batch(cli: BatchCli) -> Result<(), Failure> {
     Ok(())
 }
 
-/// Options for `lcmopt lift`.
-struct LiftCli {
-    path: String,
-    emit: String,
-    stats: bool,
-}
-
-fn lift_usage() -> &'static str {
-    "usage: lcmopt lift [-e|--emit text|dot] [--stats] <FILE|->\n\
-     Lifts a flat three-address listing — one instruction per line, \
-     control via `goto INDEX` / `if VAR goto INDEX` / `ret`, optional \
-     `fn NAME` section headers — into block-structured module IR by a \
-     leader scan, and prints the module on stdout.\n\
-     The output composes with every other front: \
-     `lcmopt lift prog.l3a | lcmopt batch -` lifts then optimizes.\n\
-     --stats adds one summary line per function on stderr (instruction, \
-     block and dropped-unreachable-block counts).\n\
-     exit codes: 0 ok, 2 usage, 3 lift error (FILE:LINE: message, with \
-     LINE relative to the input file)"
-}
-
-/// `Ok(None)` means help was requested (print lift usage, exit 0).
-fn parse_lift_args(mut args: impl Iterator<Item = String>) -> Result<Option<LiftCli>, Failure> {
-    let mut path: Option<String> = None;
-    let mut opts = LiftCli {
-        path: String::new(),
-        emit: "text".into(),
-        stats: false,
-    };
-    let usage_err = |msg: String| Failure::new(EXIT_USAGE, format!("{msg}\n{}", lift_usage()));
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "-h" | "--help" => return Ok(None),
-            "-e" | "--emit" => {
-                opts.emit = args
-                    .next()
-                    .ok_or_else(|| usage_err("--emit needs an argument".into()))?;
-                if !["text", "dot"].contains(&opts.emit.as_str()) {
-                    return Err(usage_err(format!("unknown emit kind `{}`", opts.emit)));
-                }
-            }
-            "--stats" => opts.stats = true,
-            other if other.starts_with('-') && other != "-" => {
-                return Err(usage_err(format!("unknown lift argument `{other}`")));
-            }
-            p => {
-                if path.is_some() {
-                    return Err(usage_err("more than one input file".into()));
-                }
-                path = Some(p.to_string());
-            }
-        }
-    }
-    opts.path = path.ok_or_else(|| usage_err("lift needs an input FILE".into()))?;
-    Ok(Some(opts))
-}
-
-fn run_lift(cli: LiftCli) -> Result<(), Failure> {
-    let file = Some(cli.path.clone());
-    let text = read_input(&file)?;
+fn run_lift(cli: Cli) -> Result<(), Failure> {
+    let input = cli.input();
+    let text = load_text(input, read(input)?)?;
     let lifted = lift_module(&text).map_err(|e| {
         Failure::new(
             EXIT_PARSE,
-            format!("{}:{}: {}", input_name(&file), e.line, e.message),
+            format!("{}:{}: {}", input_name(input), e.line, e.message),
         )
     })?;
     if cli.stats {
@@ -564,155 +643,16 @@ fn run_lift(cli: LiftCli) -> Result<(), Failure> {
             );
         }
     }
-    match cli.emit.as_str() {
-        "text" => println!("{}", lifted.module),
-        "dot" => print!("{}", dot::render_module(&lifted.module)),
+    match cli.emit {
+        Emit::Text => println!("{}", lifted.module),
+        Emit::Dot => print!("{}", dot::render_module(&lifted.module)),
         _ => unreachable!("emit kind validated"),
     }
     Ok(())
 }
 
-/// Options for `lcmopt serve`.
-struct ServeCli {
-    socket: Option<String>,
-    cache_file: Option<String>,
-    workers: usize,
-    queue_cap: usize,
-    retry_after_ms: u32,
-    placement: PreAlgorithm,
-    solver: SolveStrategy,
-    cache: bool,
-    cache_capacity: usize,
-    validate: ValidationLevel,
-}
-
-fn serve_usage() -> &'static str {
-    "usage: lcmopt serve [--socket PATH] [--cache-file PATH] [--workers N] \
-     [--queue-cap N] [--retry-after-ms N] [--placement lcm|bcm|spec] \
-     [--solver rr|scc] [--cache on|off] [--cache-cap N] \
-     [--validate[=off|fast|full]]\n\
-     Runs the optimization daemon: worker threads keep warm solver arenas \
-     across requests and share one plan cache.\n\
-     With --socket the daemon serves the framed protocol on a Unix socket \
-     until a client sends SHUTDOWN; without it, one connection on \
-     stdin/stdout until EOF. Either way it drains in-flight units, flushes \
-     the cache durably, and exits 0.\n\
-     --cache-file persists the plan cache (lcm-cache-v1; corrupt files are \
-     quarantined to a .corrupt sidecar and the daemon starts cold). The \
-     file is rewritten atomically after every request. Every cache hit is \
-     re-validated at the fast tier, whatever --validate says; a persisted \
-     entry that fails is quarantined (counted on the --stats lifetime \
-     line) and recomputed.\n\
-     --workers 0 (the default) uses all available cores. --queue-cap \
-     bounds admitted-but-unfinished units (0 = unbounded); requests beyond \
-     it are shed with OVERLOADED and the --retry-after-ms hint."
-}
-
-/// `Ok(None)` means help was requested (print serve usage, exit 0).
-fn parse_serve_args(mut args: impl Iterator<Item = String>) -> Result<Option<ServeCli>, Failure> {
-    let mut opts = ServeCli {
-        socket: None,
-        cache_file: None,
-        workers: 0,
-        queue_cap: 1024,
-        retry_after_ms: 50,
-        placement: PreAlgorithm::LazyEdge,
-        solver: SolveStrategy::default(),
-        cache: true,
-        cache_capacity: 4096,
-        validate: ValidationLevel::Fast,
-    };
-    let usage_err = |msg: String| Failure::new(EXIT_USAGE, format!("{msg}\n{}", serve_usage()));
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "-h" | "--help" => return Ok(None),
-            "--socket" => {
-                let p = args
-                    .next()
-                    .ok_or_else(|| usage_err("--socket needs a path".into()))?;
-                opts.socket = Some(p);
-            }
-            "--cache-file" => {
-                let p = args
-                    .next()
-                    .ok_or_else(|| usage_err("--cache-file needs a path".into()))?;
-                opts.cache_file = Some(p);
-            }
-            "--workers" => {
-                let n = args
-                    .next()
-                    .ok_or_else(|| usage_err("--workers needs an argument".into()))?;
-                opts.workers = parse_thread_count("worker", &n).map_err(usage_err)?;
-            }
-            "--queue-cap" => {
-                let n = args
-                    .next()
-                    .ok_or_else(|| usage_err("--queue-cap needs an argument".into()))?;
-                opts.queue_cap = n
-                    .parse()
-                    .map_err(|_| usage_err(format!("bad queue capacity `{n}`")))?;
-            }
-            "--retry-after-ms" => {
-                let n = args
-                    .next()
-                    .ok_or_else(|| usage_err("--retry-after-ms needs an argument".into()))?;
-                opts.retry_after_ms = n
-                    .parse()
-                    .map_err(|_| usage_err(format!("bad retry hint `{n}`")))?;
-            }
-            "--placement" => {
-                let v = args
-                    .next()
-                    .ok_or_else(|| usage_err("--placement needs lcm|bcm|spec".into()))?;
-                opts.placement = parse_placement(&v).map_err(usage_err)?;
-            }
-            "--solver" => opts.solver = parse_solver(args.next()).map_err(usage_err)?,
-            "--cache" => {
-                let v = args
-                    .next()
-                    .ok_or_else(|| usage_err("--cache needs on|off".into()))?;
-                opts.cache = match v.as_str() {
-                    "on" => true,
-                    "off" => false,
-                    other => return Err(usage_err(format!("bad cache mode `{other}`"))),
-                };
-            }
-            "--cache-cap" => {
-                let n = args
-                    .next()
-                    .ok_or_else(|| usage_err("--cache-cap needs an argument".into()))?;
-                opts.cache_capacity = n
-                    .parse()
-                    .map_err(|_| usage_err(format!("bad cache capacity `{n}`")))?;
-            }
-            "--validate" => opts.validate = ValidationLevel::Fast,
-            other if other.starts_with("--validate=") => {
-                let level = &other["--validate=".len()..];
-                opts.validate = level.parse().map_err(usage_err)?;
-            }
-            other => return Err(usage_err(format!("unknown serve argument `{other}`"))),
-        }
-    }
-    Ok(Some(opts))
-}
-
-fn run_serve(cli: ServeCli) -> Result<(), Failure> {
-    let opts = ServeOptions {
-        batch: BatchOptions {
-            jobs: 0,
-            placement: cli.placement,
-            validate: cli.validate,
-            seed: VALIDATION_SEED,
-            use_cache: cli.cache,
-            cache_capacity: cli.cache_capacity,
-            strategy: cli.solver,
-        },
-        workers: cli.workers,
-        queue_capacity: cli.queue_cap,
-        retry_after_ms: cli.retry_after_ms,
-        cache_file: cli.cache_file.as_deref().map(PathBuf::from),
-    };
-    let daemon = Daemon::start(opts);
+fn run_serve(cli: Cli) -> Result<(), Failure> {
+    let daemon = Daemon::start(cli.serve);
     note_load_status("serve", daemon.load_status().as_ref());
     let result = match &cli.socket {
         #[cfg(unix)]
@@ -733,103 +673,20 @@ fn run_serve(cli: ServeCli) -> Result<(), Failure> {
     result.map_err(|e| Failure::new(EXIT_USAGE, format!("serve: {e}")))
 }
 
-/// Options for `lcmopt request`.
-struct RequestCli {
-    socket: String,
-    path: Option<String>,
-    deadline_ms: u32,
-    fuel: u64,
-    stats: bool,
-    shutdown: bool,
-}
-
-fn request_usage() -> &'static str {
-    "usage: lcmopt request --socket PATH [--deadline-ms N] [--fuel N] \
-     <PATH|->\n\
-     \x20      lcmopt request --socket PATH --stats|--shutdown\n\
-     Sends one module (a file, or `-` for stdin) to a running \
-     `lcmopt serve --socket` daemon and prints the optimized module — \
-     byte-identical to `lcmopt batch` output for the same input and \
-     configuration.\n\
-     --deadline-ms / --fuel bound each unit's work (0 = unlimited); a unit \
-     over budget is reported as a `cancelled` failure.\n\
-     --stats prints the daemon's counters; --shutdown asks it to drain, \
-     flush its cache, and exit.\n\
-     exit codes: 0 ok, 2 usage/transport, 3 the module failed to parse, \
-     5 any unit failed, 6 the daemon shed the request (overloaded)"
-}
-
-/// `Ok(None)` means help was requested (print request usage, exit 0).
-fn parse_request_args(
-    mut args: impl Iterator<Item = String>,
-) -> Result<Option<RequestCli>, Failure> {
-    let mut path: Option<String> = None;
-    let mut opts = RequestCli {
-        socket: String::new(),
-        path: None,
-        deadline_ms: 0,
-        fuel: 0,
-        stats: false,
-        shutdown: false,
-    };
-    let mut socket: Option<String> = None;
-    let usage_err = |msg: String| Failure::new(EXIT_USAGE, format!("{msg}\n{}", request_usage()));
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "-h" | "--help" => return Ok(None),
-            "--socket" => {
-                let p = args
-                    .next()
-                    .ok_or_else(|| usage_err("--socket needs a path".into()))?;
-                socket = Some(p);
-            }
-            "--deadline-ms" => {
-                let n = args
-                    .next()
-                    .ok_or_else(|| usage_err("--deadline-ms needs an argument".into()))?;
-                opts.deadline_ms = n
-                    .parse()
-                    .map_err(|_| usage_err(format!("bad deadline `{n}`")))?;
-            }
-            "--fuel" => {
-                let n = args
-                    .next()
-                    .ok_or_else(|| usage_err("--fuel needs an argument".into()))?;
-                opts.fuel = n
-                    .parse()
-                    .map_err(|_| usage_err(format!("bad fuel `{n}`")))?;
-            }
-            "--stats" => opts.stats = true,
-            "--shutdown" => opts.shutdown = true,
-            other if other.starts_with('-') && other != "-" => {
-                return Err(usage_err(format!("unknown request argument `{other}`")));
-            }
-            p => {
-                if path.is_some() {
-                    return Err(usage_err("more than one input path".into()));
-                }
-                path = Some(p.to_string());
-            }
-        }
-    }
-    opts.socket = socket.ok_or_else(|| usage_err("request needs --socket PATH".into()))?;
-    opts.path = path;
-    match (&opts.path, opts.stats, opts.shutdown) {
-        (Some(_), false, false) | (None, true, false) | (None, false, true) => Ok(Some(opts)),
-        _ => Err(usage_err(
-            "request needs exactly one of: an input PATH, --stats, --shutdown".into(),
-        )),
-    }
-}
+/// A unit the daemon streamed back: its input index, and its output or
+/// its failure's wire code, function name and message.
+#[cfg(unix)]
+type Streamed = (u32, Result<String, (u8, String, String)>);
 
 #[cfg(unix)]
-fn run_request(cli: RequestCli) -> Result<(), Failure> {
+fn run_request(cli: Cli) -> Result<(), Failure> {
     use std::os::unix::net::UnixStream;
 
+    let socket = cli.socket.as_deref().expect("checked by parse");
     let transport_err =
         |what: &str| Failure::new(EXIT_USAGE, format!("request: connection {what}"));
-    let mut stream = UnixStream::connect(&cli.socket)
-        .map_err(|e| Failure::new(EXIT_USAGE, format!("connecting {}: {e}", cli.socket)))?;
+    let mut stream = UnixStream::connect(socket)
+        .map_err(|e| Failure::new(EXIT_USAGE, format!("connecting {socket}: {e}")))?;
 
     if cli.stats || cli.shutdown {
         let req = if cli.stats {
@@ -855,13 +712,13 @@ fn run_request(cli: RequestCli) -> Result<(), Failure> {
 
     // Module mode: load (with the same spanned UTF-8 diagnostics as every
     // other front), send, and stream unit results back.
-    let path = cli.path.as_deref().expect("validated by the parser");
-    let module = read_input(&Some(path.to_string()))?;
+    let input = cli.input();
+    let module = load_text(input, read(input)?)?;
     write_request(
         &mut stream,
         &Request::Optimize {
             deadline_ms: cli.deadline_ms,
-            fuel: cli.fuel,
+            fuel: cli.fuel.unwrap_or(0),
             module,
         },
     )
@@ -870,31 +727,16 @@ fn run_request(cli: RequestCli) -> Result<(), Failure> {
     // Units stream back in completion order, tagged with their input
     // index; reassemble in input order so the printed module is
     // byte-identical to `lcmopt batch` output.
-    enum Unit {
-        Ok(String),
-        Failed {
-            code: u8,
-            name: String,
-            message: String,
-        },
-    }
-    let mut units: Vec<(u32, Unit)> = Vec::new();
+    let mut units: Vec<Streamed> = Vec::new();
     let (ok, failed) = loop {
         match read_response(&mut stream) {
-            Ok(Some(Response::UnitOk { index, output })) => units.push((index, Unit::Ok(output))),
+            Ok(Some(Response::UnitOk { index, output })) => units.push((index, Ok(output))),
             Ok(Some(Response::UnitErr {
                 index,
                 code,
                 name,
                 message,
-            })) => units.push((
-                index,
-                Unit::Failed {
-                    code,
-                    name,
-                    message,
-                },
-            )),
+            })) => units.push((index, Err((code, name, message)))),
             Ok(Some(Response::Done { ok, failed })) => break (ok, failed),
             Ok(Some(Response::Error { code, message })) => {
                 let exit = if code == ERR_PARSE {
@@ -916,31 +758,17 @@ fn run_request(cli: RequestCli) -> Result<(), Failure> {
         }
     };
     units.sort_by_key(|(index, _)| *index);
-    let mut out = String::new();
-    for (i, (_, unit)) in units.iter().enumerate() {
-        if i > 0 {
-            out.push_str("\n\n");
-        }
-        match unit {
-            Unit::Ok(text) => out.push_str(text),
-            Unit::Failed {
-                code,
+    print!(
+        "{}",
+        batch_report::render_units(units.iter().map(|(_, unit)| match unit {
+            Ok(output) => UnitText::Ok(output),
+            Err((code, name, message)) => UnitText::Failed {
                 name,
+                kind: failure_code_name(*code),
                 message,
-            } => {
-                let one_line: String = message
-                    .chars()
-                    .map(|c| if c.is_control() { ' ' } else { c })
-                    .collect();
-                out.push_str(&format!(
-                    "# fn {name}: FAILED ({}): {one_line}",
-                    failure_code_name(*code)
-                ));
-            }
-        }
-    }
-    out.push('\n');
-    print!("{out}");
+            },
+        }))
+    );
     if failed > 0 {
         let n = ok + failed;
         return Err(Failure::new(
@@ -952,108 +780,11 @@ fn run_request(cli: RequestCli) -> Result<(), Failure> {
 }
 
 #[cfg(not(unix))]
-fn run_request(_cli: RequestCli) -> Result<(), Failure> {
+fn run_request(_cli: Cli) -> Result<(), Failure> {
     Err(Failure::new(
         EXIT_USAGE,
         "lcmopt request needs Unix sockets; unavailable on this platform",
     ))
-}
-
-/// Options for `lcmopt watch`.
-struct WatchCli {
-    file: String,
-    interval_ms: u64,
-    iterations: u64,
-    output: Option<String>,
-    placement: PreAlgorithm,
-    solver: SolveStrategy,
-    validate: ValidationLevel,
-}
-
-fn watch_usage() -> &'static str {
-    "usage: lcmopt watch [--interval-ms N] [--iterations N] [-o|--output \
-     PATH] [--placement lcm|bcm|spec] [--solver rr|scc] \
-     [--validate[=off|fast|full]] <FILE>\n\
-     Optimizes the module in FILE, then polls it and re-optimizes on every \
-     change. Each function's AVAIL/ANTIC/LATER fixpoints are retained \
-     between revisions, so an edit is answered by an SCC-scoped delta \
-     solve that charges only for the blocks it can reach (a CFG-shape or \
-     universe change falls back to a full solve). Output is byte-identical \
-     to `lcmopt batch` on the same revision.\n\
-     The optimized module goes to stdout after every run, or to PATH with \
-     --output (rewritten in place). Per-iteration stats — fresh/delta/\
-     fallback per function, dirty blocks, block rows re-solved — go to \
-     stderr.\n\
-     --iterations N exits after N re-optimizations beyond the initial one \
-     (0, the default, watches until interrupted); a transiently unreadable \
-     or unparseable save is reported and skipped, not fatal.\n\
-     exit codes: 0 ok, 1 internal error, 2 usage, 3 the initial module \
-     failed to parse, 5 any unit of the last completed run failed"
-}
-
-/// `Ok(None)` means help was requested (print watch usage, exit 0).
-fn parse_watch_args(mut args: impl Iterator<Item = String>) -> Result<Option<WatchCli>, Failure> {
-    let mut file: Option<String> = None;
-    let mut opts = WatchCli {
-        file: String::new(),
-        interval_ms: 50,
-        iterations: 0,
-        output: None,
-        placement: PreAlgorithm::LazyEdge,
-        solver: SolveStrategy::default(),
-        validate: ValidationLevel::Fast,
-    };
-    let usage_err = |msg: String| Failure::new(EXIT_USAGE, format!("{msg}\n{}", watch_usage()));
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "-h" | "--help" => return Ok(None),
-            "--interval-ms" => {
-                let n = args
-                    .next()
-                    .ok_or_else(|| usage_err("--interval-ms needs an argument".into()))?;
-                opts.interval_ms = n
-                    .parse()
-                    .map_err(|_| usage_err(format!("bad interval `{n}`")))?;
-            }
-            "--iterations" => {
-                let n = args
-                    .next()
-                    .ok_or_else(|| usage_err("--iterations needs an argument".into()))?;
-                opts.iterations = n
-                    .parse()
-                    .map_err(|_| usage_err(format!("bad iteration count `{n}`")))?;
-            }
-            "-o" | "--output" => {
-                let p = args
-                    .next()
-                    .ok_or_else(|| usage_err("--output needs a path".into()))?;
-                opts.output = Some(p);
-            }
-            "--placement" => {
-                let v = args
-                    .next()
-                    .ok_or_else(|| usage_err("--placement needs lcm|bcm|spec".into()))?;
-                opts.placement = parse_placement(&v).map_err(usage_err)?;
-            }
-            "--solver" => opts.solver = parse_solver(args.next()).map_err(usage_err)?,
-            "--validate" => opts.validate = ValidationLevel::Fast,
-            other if other.starts_with("--validate=") => {
-                let level = &other["--validate=".len()..];
-                opts.validate = level.parse().map_err(usage_err)?;
-            }
-            other if other.starts_with('-') => {
-                return Err(usage_err(format!("unknown watch argument `{other}`")));
-            }
-            p => {
-                if file.is_some() {
-                    return Err(usage_err("more than one input file".into()));
-                }
-                file = Some(p.to_string());
-            }
-        }
-    }
-    opts.file = file.ok_or_else(|| usage_err("watch needs an input FILE".into()))?;
-    Ok(Some(opts))
 }
 
 /// One watched re-optimization: runs the module through the engine's
@@ -1120,47 +851,28 @@ fn watch_once(
     Ok(failed)
 }
 
-fn run_watch(cli: WatchCli) -> Result<(), Failure> {
-    let opts = BatchOptions {
+fn run_watch(cli: Cli) -> Result<(), Failure> {
+    let mut engine = BatchEngine::new(BatchOptions {
         jobs: 1,
-        placement: cli.placement,
-        validate: cli.validate,
-        seed: VALIDATION_SEED,
-        strategy: cli.solver,
-        ..BatchOptions::default()
-    };
-    let mut engine = BatchEngine::new(opts);
+        ..cli.serve.batch
+    });
+    let file = cli.input();
     // The initial revision must load: a watch on a missing or broken file
     // is a usage/parse error, not an empty vigil.
-    let mut last = std::fs::read(&cli.file)
-        .map_err(|e| Failure::new(EXIT_USAGE, format!("reading {}: {e}", cli.file)))?;
-    let parse = |bytes: Vec<u8>, file: &str| -> Result<Module, Failure> {
-        let text = text_from_bytes(bytes).map_err(|e| {
-            Failure::new(
-                EXIT_PARSE,
-                format!("{file}:{}:{}: {}", e.line, e.col, e.message),
-            )
-        })?;
-        parse_module(&text).map_err(|e| {
-            Failure::new(
-                EXIT_PARSE,
-                format!("{file}:{}:{}: {}", e.line, e.col, e.message),
-            )
-        })
-    };
-    let module = parse(last.clone(), &cli.file)?;
+    let mut last = read(file)?;
+    let module = load_module(file, last.clone())?;
     let mut failed = watch_once(&mut engine, &module, 0, &cli.output)?;
     let mut done = 0u64;
     while cli.iterations == 0 || done < cli.iterations {
         std::thread::sleep(std::time::Duration::from_millis(cli.interval_ms));
         // Content comparison, not just mtime: editors and scripted smoke
         // tests can rewrite within the filesystem's mtime granularity.
-        let bytes = match std::fs::read(&cli.file) {
+        let bytes = match std::fs::read(file) {
             Ok(b) => b,
             Err(e) => {
                 // A vanished file is usually an editor's save-by-rename
                 // mid-flight; report and keep polling.
-                eprintln!("lcmopt watch: reading {}: {e}", cli.file);
+                eprintln!("lcmopt watch: reading {file}: {e}");
                 continue;
             }
         };
@@ -1168,7 +880,7 @@ fn run_watch(cli: WatchCli) -> Result<(), Failure> {
             continue;
         }
         last = bytes.clone();
-        let module = match parse(bytes, &cli.file) {
+        let module = match load_module(file, bytes) {
             Ok(m) => m,
             Err(e) => {
                 // Half-saved revisions happen; they cost a diagnostic, not
@@ -1189,28 +901,6 @@ fn run_watch(cli: WatchCli) -> Result<(), Failure> {
     Ok(())
 }
 
-fn read_input(file: &Option<String>) -> Result<String, Failure> {
-    let bytes = match file.as_deref() {
-        None | Some("-") => {
-            let mut buf = Vec::new();
-            std::io::stdin()
-                .read_to_end(&mut buf)
-                .map_err(|e| Failure::new(EXIT_USAGE, format!("reading stdin: {e}")))?;
-            buf
-        }
-        Some(path) => std::fs::read(path)
-            .map_err(|e| Failure::new(EXIT_USAGE, format!("reading {path}: {e}")))?,
-    };
-    // Invalid UTF-8 is a malformed input, not an I/O accident: report it
-    // with the same spanned diagnostic shape as a parse error.
-    text_from_bytes(bytes).map_err(|e| {
-        Failure::new(
-            EXIT_PARSE,
-            format!("{}:{}:{}: {}", input_name(file), e.line, e.col, e.message),
-        )
-    })
-}
-
 /// One stderr line describing how a `--cache-file` loaded (nothing for a
 /// cold start).
 fn note_load_status(who: &str, status: Option<&LoadStatus>) {
@@ -1228,14 +918,6 @@ fn note_load_status(who: &str, status: Option<&LoadStatus>) {
     }
 }
 
-/// The name shown in diagnostics for the input stream.
-fn input_name(file: &Option<String>) -> &str {
-    match file.as_deref() {
-        None | Some("-") => "<stdin>",
-        Some(path) => path,
-    }
-}
-
 /// The PRE algorithm a pass name selects; `spec` only with edge weights.
 fn algorithm_by_name(name: &str, weighted: bool) -> Option<PreAlgorithm> {
     let spec = weighted.then_some(PreAlgorithm::Speculative);
@@ -1243,21 +925,17 @@ fn algorithm_by_name(name: &str, weighted: bool) -> Option<PreAlgorithm> {
     all.find(|a| a.name() == name)
 }
 
-/// Seed for the full tier's differential input sampling: fixed, so runs
-/// are reproducible; validation failures therefore always replay.
-const VALIDATION_SEED: u64 = 0x1c3a_57ed;
-
 /// Each PRE pass's validation report, by pass name.
 type Reports = Vec<(String, ValidationReport)>;
 
-/// Runs `pass_names` in order, every PRE pass through the checked call at
-/// the fixed validation seed, unbudgeted; `weights` is the edge profile a
-/// `spec` pass plans against. Returns the result, the reports, and the
-/// speculative planner's decisions.
+/// Runs `pass_names` in order, every PRE pass through the checked call
+/// under `opts`' validation tier, seed and solver, unbudgeted; `weights` is
+/// the edge profile a `spec` pass plans against. Returns the result, the
+/// reports, and the speculative planner's decisions.
 fn run_pipeline(
     f: &Function,
     pass_names: &[String],
-    level: ValidationLevel,
+    opts: &BatchOptions,
     weights: Option<&EdgeWeights>,
 ) -> Result<(Function, Reports, Option<SpecStats>), Failure> {
     let mut g = f.clone();
@@ -1285,9 +963,9 @@ fn run_pipeline(
                 Some(placement) => {
                     let opts = lcm::core::Options {
                         placement,
-                        validate: level,
-                        seed: VALIDATION_SEED,
-                        solver: SolveStrategy::default(),
+                        validate: opts.validate,
+                        seed: opts.seed,
+                        solver: opts.strategy,
                     };
                     let failed = |e| Failure::new(EXIT_PASS, format!("pass `{name}` failed: {e}"));
                     let (opt, rep) = optimize_checked(&g, weights, &opts, &budget, &mut session)
@@ -1299,7 +977,7 @@ fn run_pipeline(
                 None => {
                     return Err(Failure::new(
                         EXIT_USAGE,
-                        format!("unknown pass `{other}`\n{}", usage()),
+                        format!("unknown pass `{other}`\n{FILE_USAGE}"),
                     ));
                 }
             },
@@ -1352,87 +1030,13 @@ fn completion_marker(completed: bool) -> &'static str {
     }
 }
 
-fn real_main() -> Result<(), Failure> {
-    match std::env::args().nth(1).as_deref() {
-        Some("batch") => {
-            return match parse_batch_args(std::env::args().skip(2))? {
-                Some(cli) => run_batch(cli),
-                None => {
-                    println!("{}", batch_usage());
-                    Ok(())
-                }
-            };
-        }
-        Some("lift") => {
-            return match parse_lift_args(std::env::args().skip(2))? {
-                Some(cli) => run_lift(cli),
-                None => {
-                    println!("{}", lift_usage());
-                    Ok(())
-                }
-            };
-        }
-        Some("serve") => {
-            return match parse_serve_args(std::env::args().skip(2))? {
-                Some(cli) => run_serve(cli),
-                None => {
-                    println!("{}", serve_usage());
-                    Ok(())
-                }
-            };
-        }
-        Some("request") => {
-            return match parse_request_args(std::env::args().skip(2))? {
-                Some(cli) => run_request(cli),
-                None => {
-                    println!("{}", request_usage());
-                    Ok(())
-                }
-            };
-        }
-        Some("watch") => {
-            return match parse_watch_args(std::env::args().skip(2))? {
-                Some(cli) => run_watch(cli),
-                None => {
-                    println!("{}", watch_usage());
-                    Ok(())
-                }
-            };
-        }
-        _ => {}
-    }
-    let opts = match parse_args()? {
-        Some(o) => o,
-        None => {
-            println!("{}", usage());
-            return Ok(());
-        }
-    };
-    if opts.placement.is_some() && opts.passes_set {
-        return Err(Failure::new(
-            EXIT_USAGE,
-            format!(
-                "--placement and --passes are mutually exclusive\n{}",
-                usage()
-            ),
-        ));
-    }
-    let text = read_input(&opts.file)?;
+fn run_file(cli: Cli) -> Result<(), Failure> {
+    let opts = cli.serve.batch;
+    let fuel = cli.fuel.unwrap_or(INTERP_FUEL);
     // Parsed as a (single-function) module so a `profile` section is
     // picked up; parse-time profile validation (structure and flow
     // conservation) reports through the same spanned diagnostic.
-    let module = parse_module(&text).map_err(|e| {
-        Failure::new(
-            EXIT_PARSE,
-            format!(
-                "{}:{}:{}: {}",
-                input_name(&opts.file),
-                e.line,
-                e.col,
-                e.message
-            ),
-        )
-    })?;
+    let module = load_module(cli.input(), read(cli.input())?)?;
     let functions: Vec<&Function> = module.iter().collect();
     let f = match functions.as_slice() {
         [f] => (*f).clone(),
@@ -1448,13 +1052,16 @@ fn real_main() -> Result<(), Failure> {
     };
     verify(&f).map_err(|e| Failure::new(EXIT_VERIFY, format!("input is not well-formed: {e}")))?;
 
-    if opts.compare {
+    if cli.compare {
         return compare(&f);
     }
 
     let mut profile_note: Option<String> = None;
-    let (g, reports, spec_stats) = match opts.placement {
-        None => run_pipeline(&f, &opts.passes, opts.validate, None)?,
+    let (g, reports, spec_stats) = match cli.placement {
+        None => {
+            let default = placement_passes(PreAlgorithm::LazyEdge);
+            run_pipeline(&f, cli.passes.as_ref().unwrap_or(&default), &opts, None)?
+        }
         Some(PreAlgorithm::Speculative) => {
             match module
                 .profile(&f.name)
@@ -1467,23 +1074,23 @@ fn real_main() -> Result<(), Failure> {
                         w.entry
                     ));
                     let passes = placement_passes(PreAlgorithm::Speculative);
-                    run_pipeline(&f, &passes, opts.validate, Some(&w))?
+                    run_pipeline(&f, &passes, &opts, Some(&w))?
                 }
                 None => {
                     profile_note =
                         Some("profile: none — speculative placement fell back to lcm".to_string());
                     let passes = placement_passes(PreAlgorithm::LazyEdge);
-                    run_pipeline(&f, &passes, opts.validate, None)?
+                    run_pipeline(&f, &passes, &opts, None)?
                 }
             }
         }
-        Some(alg) => run_pipeline(&f, &placement_passes(alg), opts.validate, None)?,
+        Some(alg) => run_pipeline(&f, &placement_passes(alg), &opts, None)?,
     };
 
-    match opts.emit.as_str() {
-        "text" => println!("{g}"),
-        "dot" => print!("{}", dot::render(&g, |_| None)),
-        "stats" => {
+    match cli.emit {
+        Emit::Text => println!("{g}"),
+        Emit::Dot => print!("{}", dot::render(&g, |_| None)),
+        Emit::Stats => {
             println!("blocks: {} -> {}", f.num_blocks(), g.num_blocks());
             println!("instructions: {} -> {}", f.num_instrs(), g.num_instrs());
             println!(
@@ -1491,10 +1098,9 @@ fn real_main() -> Result<(), Failure> {
                 f.expr_occurrences().count(),
                 g.expr_occurrences().count()
             );
-            // Solver cost of the fused LCM pipeline on the original input,
-            // under the requested solver strategy (fresh scratch, so the
-            // numbers are reproducible run to run).
-            let p = lcm::core::lcm_with(&f, opts.solver, &mut SolverScratch::new())
+            // Solver cost of the fused LCM pipeline on the original input
+            // (fresh scratch, so the numbers are reproducible run to run).
+            let p = lcm::core::lcm_with(&f, opts.strategy, &mut SolverScratch::new())
                 .map_err(|e| Failure::new(EXIT_PASS, format!("stats analysis failed: {e}")))?;
             println!();
             print!("{}", report::stats_table(&p.stats));
@@ -1513,28 +1119,28 @@ fn real_main() -> Result<(), Failure> {
                     s.candidates, s.speculated, s.lcm_weighted_cost, s.spec_weighted_cost
                 );
             }
-            if opts.placement.is_some() {
+            if cli.placement.is_some() {
                 // Interpreter-measured evaluation counts over the
                 // validator's input distribution, so `--placement spec`
                 // and `--placement lcm` runs are directly comparable.
-                let mut state = VALIDATION_SEED;
+                let mut state = opts.seed;
                 let (mut before, mut after) = (0u64, 0u64);
                 for _ in 0..4 {
                     let inputs = lcm::core::validate::sample_inputs(&f, &mut state);
-                    before += run(&f, &inputs, opts.fuel).total_evals();
-                    after += run(&g, &inputs, opts.fuel).total_evals();
+                    before += run(&f, &inputs, fuel).total_evals();
+                    after += run(&g, &inputs, fuel).total_evals();
                 }
                 println!("dynamic evaluations (4 seeded inputs): {before} -> {after}");
             }
         }
-        "none" => {}
-        _ => unreachable!("emit kind validated"),
+        Emit::None => {}
+        Emit::Json => unreachable!("emit kind validated"),
     }
 
-    if opts.run {
-        let inputs: Inputs = opts.inputs.into_iter().collect();
-        let before = run(&f, &inputs, opts.fuel);
-        let after = run(&g, &inputs, opts.fuel);
+    if !cli.runs.is_empty() {
+        let inputs: Inputs = cli.runs.into_iter().collect();
+        let before = run(&f, &inputs, fuel);
+        let after = run(&g, &inputs, fuel);
         println!(
             "trace before: {:?}{}",
             before.trace,
@@ -1555,6 +1161,26 @@ fn real_main() -> Result<(), Failure> {
         }
     }
     Ok(())
+}
+
+fn real_main() -> Result<(), Failure> {
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let cmd = Command::named(args.first().map(String::as_str));
+    if cmd != Command::File {
+        args.remove(0);
+    }
+    let Some(cli) = parse(cmd, args)? else {
+        println!("{}", cmd.usage());
+        return Ok(());
+    };
+    match cmd {
+        Command::File => run_file(cli),
+        Command::Batch => run_batch(cli),
+        Command::Lift => run_lift(cli),
+        Command::Serve => run_serve(cli),
+        Command::Request => run_request(cli),
+        Command::Watch => run_watch(cli),
+    }
 }
 
 fn main() -> ExitCode {
@@ -1598,15 +1224,17 @@ mod tests {
     fn excessive_thread_counts_are_usage_errors() {
         // The arguments are only parsed: nothing is spawned.
         let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        let e = parse_batch_args(args(&["--jobs", "100000", "m.lcm"]).into_iter())
+        let e = parse(Command::Batch, args(&["--jobs", "100000", "m.lcm"]))
             .err()
             .unwrap();
         assert_eq!(e.code, EXIT_USAGE);
         assert!(e.message.starts_with("job count `100000` exceeds"));
-        let e = parse_serve_args(args(&["--workers", "5000"]).into_iter())
+        assert!(e.message.ends_with(BATCH_USAGE));
+        let e = parse(Command::Serve, args(&["--workers", "5000"]))
             .err()
             .unwrap();
         assert_eq!(e.code, EXIT_USAGE);
         assert!(e.message.starts_with("worker count `5000` exceeds"));
+        assert!(e.message.ends_with(SERVE_USAGE));
     }
 }
